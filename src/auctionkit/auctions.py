@@ -221,7 +221,8 @@ def greedy_submodular_rule(increment, cap: int = DEFAULT_DEMAND_CAP) -> GreedySu
 # Trace serialization (deterministic, exact)
 # ---------------------------------------------------------------------------
 
-def _demand_payload(result: DemandResult) -> dict:
+def demand_payload(result: DemandResult) -> dict:
+    """JSON form of a demand result, in traces and in the demand command."""
     return {
         "maxUtility": format_rational(result.max_utility),
         "set": list(result.witness_set),
@@ -243,7 +244,7 @@ def trace_payload(trace: AuctionTrace) -> dict:
     steps = [
         {
             "prices": [format_rational(p) for p in step.prices.prices],
-            "demands": [_demand_payload(d) for d in step.demands],
+            "demands": [demand_payload(d) for d in step.demands],
             "action": _action_payload(step.action),
         }
         for step in trace.steps

@@ -5,7 +5,9 @@ Every command prints a run report whose payload is deterministic for
 deterministic inputs; wall-clock timing lives in a separate key so reports
 can be compared ignoring it.  Exit codes: 0 success, 1 domain failure
 (a mismatching --compare, a failed --expect, a broken rule), 2 usage or
-schema errors.
+schema errors, 3 internal error (such as the two submodularity checkers
+disagreeing), which signals a bug in auctionkit, never a property of the
+input.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .auctions import (dgs_rule, english_additive_rule, greedy_submodular_rule,
-                       run_ascending, trace_payload)
+from .auctions import (demand_payload, dgs_rule, english_additive_rule,
+                       greedy_submodular_rule, run_ascending, trace_payload)
 from .demand import (PriceVector, additive_demand, brute_force_demand,
                      multipeak_demand, unit_demand_demand)
 from .equilibrium import (DEFAULT_DEMAND_CAP, envy_free_allocation,
@@ -58,14 +60,6 @@ def _fast_oracle_for(valuation):
     if isinstance(valuation, MultiPeak):
         return multipeak_demand
     return None
-
-
-def _demand_payload(result) -> dict:
-    return {
-        "maxUtility": format_rational(result.max_utility),
-        "set": list(result.witness_set),
-        "count": result.argmax_count,
-    }
 
 
 def _cmd_gen(args) -> tuple[dict, int, bytes | None]:
@@ -124,13 +118,13 @@ def _cmd_demand(args) -> tuple[dict, int, None]:
         fast_result = fast(valuation, prices)
         brute_result = brute_force_demand(valuation, prices)
         match = fast_result.max_utility == brute_result.max_utility
-        payload["fast"] = _demand_payload(fast_result)
-        payload["brute"] = _demand_payload(brute_result)
+        payload["fast"] = demand_payload(fast_result)
+        payload["brute"] = demand_payload(brute_result)
         payload["match"] = match
         code = 0 if match else 1
     else:
         oracle = fast if args.method == "fast" else brute_force_demand
-        payload["result"] = _demand_payload(oracle(valuation, prices))
+        payload["result"] = demand_payload(oracle(valuation, prices))
     return payload, code, None
 
 
@@ -368,6 +362,9 @@ def main(argv=None) -> int:
     except AuctionkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     payload, code, document = result if len(result) == 3 else (*result, None)
     report = {
         "command": invocation,

@@ -29,7 +29,7 @@ from .itemsets import (EMPTY_SET, ItemSet, bit_reversals, canonical_key,
                        popcounts)
 from .valuations import (Additive, BudgetAdditive, MultiPeak, UnitDemand,
                          Valuation, close_region_value, eval_valuation,
-                         value_table, _INT64_GUARD)
+                         int_dtype, scaled_table, value_table)
 
 MAX_BRUTE_ITEMS = 20
 MAX_ENUMERATION_ITEMS = 16
@@ -96,35 +96,20 @@ def utility(valuation: Valuation, prices: PriceVector, bundle: ItemSet) -> Fract
     return eval_valuation(valuation, bundle) - prices.total(bundle)
 
 
-def _price_table(prices: PriceVector) -> tuple[np.ndarray, int]:
-    """Dense scaled price sums over all subset masks."""
-    denom = 1
-    for p in prices.prices:
-        denom = denom * p.denominator // math.gcd(denom, p.denominator)
-    nums = [p.numerator * (denom // p.denominator) for p in prices.prices]
-    bound = sum(nums)
-    dtype = np.int64 if bound < _INT64_GUARD else object
-    arr = np.zeros(1, dtype=dtype)
-    for x in nums:
-        arr = np.concatenate([arr, arr + x])
-    return arr, denom
-
-
 def _utilities(valuation: Valuation, prices: PriceVector) -> tuple[np.ndarray, int]:
     """Scaled utilities over all masks: utilities[mask] / denom."""
     if valuation.num_items != prices.num_items:
         raise ValueError("valuation and prices disagree on the ground set size")
     vt = value_table(valuation)
-    pnums, pden = _price_table(prices)
-    denom = vt.denom * pden // math.gcd(vt.denom, pden)
+    pnums, pden = scaled_table(prices.prices, np.add)
+    denom = math.lcm(vt.denom, pden)
     a, b = denom // vt.denom, denom // pden
     vmax = int(np.max(np.abs(vt.nums))) if len(vt.nums) else 0
     pmax = int(pnums[-1]) if len(pnums) else 0
-    if (vt.nums.dtype == object or pnums.dtype == object
-            or vmax * a + pmax * b >= _INT64_GUARD):
-        util = vt.nums.astype(object) * a - pnums.astype(object) * b
-    else:
-        util = vt.nums * a - pnums * b
+    # Bounds a and b themselves too: they enter int64 arithmetic even when
+    # every value or every price is zero.
+    dtype = int_dtype(max(vmax, 1) * a + max(pmax, 1) * b)
+    util = vt.nums.astype(dtype, copy=False) * a - pnums.astype(dtype, copy=False) * b
     return util, denom
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional, Union
 
 import numpy as np
@@ -298,17 +297,41 @@ class ValueTable:
     num_items: int
 
 
-def _scaled_ints(values) -> tuple[list[int], int]:
-    denom = 1
-    for v in values:
-        denom = denom * v.denominator // math.gcd(denom, v.denominator)
-    return [v.numerator * (denom // v.denominator) for v in values], denom
+def int_dtype(bound: int):
+    """int64 when every integer the caller computes is proven to stay below
+    bound in magnitude and bound leaves int64 headroom, else object dtype
+    (exact Python ints)."""
+    return np.int64 if bound < _INT64_GUARD else object
 
 
-def _as_array(nums: list[int]) -> np.ndarray:
-    peak = max((abs(x) for x in nums), default=0)
-    dtype = np.int64 if peak < _INT64_GUARD else object
-    return np.array(nums, dtype=dtype)
+def scaled_table(values, fold=None, cap: Optional[Fraction] = None
+                 ) -> tuple[np.ndarray, int]:
+    """Nonnegative rationals as exact integers over one common denominator.
+
+    Returns (nums, denom) with denom the LCM of every denominator.  Without
+    fold, nums[i] = values[i] * denom.  With fold (np.add or np.maximum) the
+    values are per item and nums[mask] folds the items of mask; the table is
+    built by doubling, each item appending the table so far folded with it.
+    cap, when given, clips every entry from above.  The dtype comes from
+    int_dtype with a bound on every entry and partial fold.
+    """
+    parts = list(values) if cap is None else [*values, cap]
+    ratios = [v.as_integer_ratio() for v in parts]
+    denom = math.lcm(*(d for _, d in ratios))
+    nums = [n * (denom // d) for n, d in ratios]
+    cap_num = None if cap is None else nums.pop()
+    bound = max(sum(nums) if fold is np.add else max(nums, default=0),
+                cap_num or 0)
+    dtype = int_dtype(bound)
+    if fold is None:
+        table = np.array(nums, dtype=dtype)
+    else:
+        table = np.zeros(1, dtype=dtype)
+        for x in nums:
+            table = np.concatenate([table, fold(table, x)])
+    if cap_num is not None:
+        table = np.minimum(table, cap_num)
+    return table, denom
 
 
 def _guard_items(num_items: int, what: str) -> None:
@@ -318,64 +341,69 @@ def _guard_items(num_items: int, what: str) -> None:
             f"{MAX_EXHAUSTIVE_ITEMS} items, got {num_items}")
 
 
-@lru_cache(maxsize=32)
 def value_table(valuation: Valuation) -> ValueTable:
-    """Dense table of exact scaled values over all 2**m subsets."""
-    m = valuation.num_items
-    _guard_items(m, "value_table")
+    """Dense table of exact scaled values over all 2**m subsets.
 
-    if isinstance(valuation, (Additive, BudgetAdditive)):
-        parts = list(valuation.values)
-        if isinstance(valuation, BudgetAdditive):
-            parts.append(valuation.budget)
-        nums, denom = _scaled_ints(parts)
-        bound = sum(abs(x) for x in nums)
-        dtype = np.int64 if bound < _INT64_GUARD else object
-        arr = np.zeros(1, dtype=dtype)
-        item_nums = nums[:m] if isinstance(valuation, BudgetAdditive) else nums
-        for x in item_nums:
-            arr = np.concatenate([arr, arr + x])
-        if isinstance(valuation, BudgetAdditive):
-            arr = np.minimum(arr, nums[-1])
-        return ValueTable(arr, denom, m)
+    The table is built on the first call and kept on the valuation, outside
+    its dataclass fields, for as long as the valuation lives; later calls
+    return the same read-only table.
+    """
+    table = getattr(valuation, "_value_table", None)
+    if table is None:
+        m = valuation.num_items
+        _guard_items(m, "value_table")
+        nums, denom = _scaled_values(valuation)
+        nums.flags.writeable = False
+        table = ValueTable(nums, denom, m)
+        object.__setattr__(valuation, "_value_table", table)
+    return table
 
+
+def _scaled_values(valuation: Valuation) -> tuple[np.ndarray, int]:
+    if isinstance(valuation, Additive):
+        return scaled_table(valuation.values, np.add)
+    if isinstance(valuation, BudgetAdditive):
+        return scaled_table(valuation.values, np.add, cap=valuation.budget)
     if isinstance(valuation, UnitDemand):
-        nums, denom = _scaled_ints(valuation.values)
-        arr = np.zeros(1, dtype=np.int64 if max(nums, default=0) < _INT64_GUARD else object)
-        for x in nums:
-            arr = np.concatenate([arr, np.maximum(arr, x)])
-        return ValueTable(arr, denom, m)
-
+        return scaled_table(valuation.values, np.maximum)
     if isinstance(valuation, Explicit):
-        nums, denom = _scaled_ints(valuation.table)
-        return ValueTable(_as_array(nums), denom, m)
-
+        return scaled_table(valuation.table)
     if isinstance(valuation, MultiPeak):
-        size = valuation.system.peak_size
-        eps = valuation.system.epsilon
-        pe, qe = eps.numerator, eps.denominator
-        masks = all_masks(m)
-        card = popcounts(masks)
-        nums = qe * qe * card * (4 * size - card)  # far region
-        close_any = np.zeros(len(masks), dtype=bool)
-        for i, peak in enumerate(valuation.system.peaks):
-            a = popcounts(masks & peak.mask)
-            b = card - a
-            close = qe * (a - b) > pe * size
-            clash = close & close_any
-            if clash.any():
-                bad = int(np.flatnonzero(clash)[0])
-                raise MalformedSystemError(
-                    f"{ItemSet.from_mask(bad)!r} is close to two peaks; "
-                    "the system is malformed")
-            close_any |= close
-            cnum = (2 * size * qe * (a * (2 * qe - pe) + b * (2 * qe + pe))
-                    + 4 * qe * qe * a * b
-                    + pe * pe * size * size)
-            nums = np.where(close, cnum, nums)
-        return ValueTable(nums.astype(np.int64), 4 * size * size * qe * qe, m)
-
+        return _multipeak_scaled(valuation)
     raise TypeError(f"unknown valuation class {type(valuation).__name__}")
+
+
+def _multipeak_scaled(valuation: MultiPeak) -> tuple[np.ndarray, int]:
+    """The far and close formulas over the common denominator 4 s^2 q^2,
+    where epsilon = p/q."""
+    m = valuation.num_items
+    size = valuation.system.peak_size
+    eps = valuation.system.epsilon
+    pe, qe = eps.numerator, eps.denominator
+    # With 0 < p < q and a + b = |S| <= m <= 4 s, every term and partial
+    # product of both formulas is nonnegative and at most
+    # q^2 (6 s m + m^2 + 5 s^2), and so are |q (a - b)| and p s.
+    dtype = int_dtype(qe * qe * (6 * size * m + m * m + 5 * size * size))
+    masks = all_masks(m)
+    card = popcounts(masks).astype(dtype, copy=False)
+    nums = qe * qe * card * (4 * size - card)  # far region
+    close_any = np.zeros(len(masks), dtype=bool)
+    for i, peak in enumerate(valuation.system.peaks):
+        a = popcounts(masks & peak.mask).astype(dtype, copy=False)
+        b = card - a
+        close = qe * (a - b) > pe * size
+        clash = close & close_any
+        if clash.any():
+            bad = int(np.flatnonzero(clash)[0])
+            raise MalformedSystemError(
+                f"{ItemSet.from_mask(bad)!r} is close to two peaks; "
+                "the system is malformed")
+        close_any |= close
+        cnum = (2 * size * qe * (a * (2 * qe - pe) + b * (2 * qe + pe))
+                + 4 * qe * qe * a * b
+                + pe * pe * size * size)
+        nums = np.where(close, cnum, nums)
+    return nums, 4 * size * size * qe * qe
 
 
 def _expand_bit(compressed: int, bit: int) -> int:

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from auctionkit import PriceVector, dump_prices
+from auctionkit import PriceVector, dump_prices, valuations
 from auctionkit.cli import main
 
 
@@ -118,6 +118,12 @@ class TestValidate:
 
     def test_missing_file_exits_2(self):
         assert main(["validate", "/nonexistent/inst.json"]) == 2
+
+    def test_checker_disagreement_exits_3(self, capsys, monkeypatch, mp1_file):
+        monkeypatch.setattr(valuations, "submodular_by_marginals",
+                            lambda v: not valuations.submodular_by_definition(v).holds)
+        assert main(["validate", mp1_file]) == 3
+        assert "internal error" in capsys.readouterr().err
 
 
 class TestEnvyFree:

@@ -75,6 +75,22 @@ class TestBruteForceDemand:
         with pytest.raises(GroundSetTooLargeError):
             brute_force_demand(Additive((F(1),) * 21), PriceVector.zero(21))
 
+    def test_scales_past_int64_stay_exact(self):
+        """Common denominators beyond int64 switch to exact Python ints, even
+        when every value is zero."""
+        cases = [
+            (Explicit(2, (F(0),) * 4), PriceVector((F(1, 2 ** 70), F(0)))),
+            (Additive((F(2 ** 62), F(1, 3))), PriceVector((F(2 ** 61), F(1, 5)))),
+            (BudgetAdditive((F(1, 2 ** 40), F(1, 2 ** 30)), F(2 ** 63)),
+             PriceVector((F(1, 3 ** 30), F(0)))),
+        ]
+        for v, prices in cases:
+            expect_gain, expect_set, expect_count = naive_demand(v, prices)
+            result = brute_force_demand(v, prices)
+            assert result.max_utility == expect_gain
+            assert result.witness_set == expect_set
+            assert result.argmax_count == expect_count
+
 
 class TestDemandSets:
     def test_indifferent_unit_demand(self):

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from auctionkit import (Additive, BudgetAdditive, Explicit, ItemSet, MultiPeak,
-                        SetSystem, UnitDemand, check_monotone, check_submodular,
-                        eps_close, eval_valuation, find_close_peak,
+from auctionkit import (Additive, BudgetAdditive, Explicit, Instance, ItemSet,
+                        MultiPeak, SetSystem, UnitDemand, check_monotone,
+                        check_submodular, encode_instance, eps_close,
+                        eval_valuation, find_close_peak, gen_multipeak,
                         validate_set_system)
 from auctionkit.errors import GroundSetTooLargeError, MalformedSystemError
 from auctionkit.valuations import (submodular_by_definition,
@@ -226,10 +227,70 @@ class TestValueTable:
             _random_explicit(rng, 4),
         ]
         for v in valuations:
-            table = value_table(v)
-            for bundle in all_subsets(v.num_items):
-                assert F(int(table.nums[bundle.mask]), table.denom) == \
-                    eval_valuation(v, bundle)
+            _assert_table_matches_value(v)
+
+    @pytest.mark.parametrize("eps", [F(500000003, 1000000007),
+                                     F(1500000001, 3000000001)])
+    def test_multipeak_large_epsilon_denominators(self, eps):
+        """Scaled multi-peak values pass 2**63 here; the first case once
+        wrapped silently in int64, the second raised OverflowError."""
+        _assert_table_matches_value(gen_multipeak(8, 4, 2, eps, 1, seed=0).bidders[0])
+
+    @given(m=st.integers(1, 8), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_multipeak_any_epsilon_denominator(self, m, data):
+        size = data.draw(st.integers(-(-m // 4), m))
+        count = data.draw(st.integers(1, m // size))
+        q = data.draw(st.integers(2, 1 << 40))
+        eps = F(data.draw(st.integers(1, q - 1)), q)
+        order = data.draw(st.permutations(range(1, m + 1)))
+        peaks = tuple(ItemSet(order[i * size:(i + 1) * size]) for i in range(count))
+        _assert_table_matches_value(MultiPeak(SetSystem(peaks, size, eps), m))
+
+
+def _assert_table_matches_value(v):
+    table = value_table(v)
+    for bundle in all_subsets(v.num_items):
+        assert F(int(table.nums[bundle.mask]), table.denom) == \
+            eval_valuation(v, bundle)
+
+
+def _one_of_each_class():
+    """Pairs of equal valuations built separately, one per class."""
+    builders = [
+        lambda: Additive((F(1, 2), F(3), F(0))),
+        lambda: UnitDemand((F(2), F(5, 2), F(1))),
+        lambda: BudgetAdditive((F(3), F(4), F(1)), F(11, 2)),
+        lambda: MultiPeak(SetSystem((ItemSet([1, 2]), ItemSet([3, 4])), 2, F(1, 2)), 4),
+        lambda: _random_explicit(random.Random(3), 3),
+    ]
+    return [(build(), build()) for build in builders]
+
+
+def _outward(v):
+    return hash(v), repr(v), encode_instance(Instance(v.num_items, (v,)))
+
+
+class TestValueTableOwnership:
+    """A valuation builds its table once and keeps it outside its fields."""
+
+    @pytest.mark.parametrize("v, w", _one_of_each_class(),
+                             ids=lambda v: type(v).__name__)
+    def test_built_once_and_invisible(self, v, w):
+        before = _outward(v)
+        table = value_table(v)
+        assert value_table(v) is table
+        # w is equal to v but has no table yet.
+        assert v == w and v is not w
+        assert _outward(v) == before == _outward(w)
+        other = value_table(w)
+        assert other is not table
+        assert (other.denom, other.num_items) == (table.denom, table.num_items)
+        assert other.nums.tolist() == table.nums.tolist()
+
+    def test_table_is_read_only(self, mp1):
+        with pytest.raises(ValueError):
+            value_table(mp1).nums[0] = 1
 
 
 class TestValidateSetSystem:
