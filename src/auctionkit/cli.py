@@ -23,8 +23,7 @@ from fractions import Fraction
 from . import __version__
 from .auctions import (demand_payload, dgs_rule, english_additive_rule,
                        greedy_submodular_rule, run_ascending, trace_payload)
-from .demand import (PriceVector, additive_demand, brute_force_demand,
-                     multipeak_demand, unit_demand_demand)
+from .demand import PriceVector, brute_force_demand, fast_oracle
 from .equilibrium import (DEFAULT_DEMAND_CAP, envy_free_allocation,
                           minimal_envy_free)
 from .errors import AuctionkitError, RuleViolationError, SchemaError
@@ -32,8 +31,7 @@ from .instances import (decode_instance, encode_instance, gen_additive,
                         gen_budget_additive, gen_multipeak, gen_unit_demand,
                         load_prices)
 from .rationals import format_rational, parse_rational
-from .valuations import (Additive, MultiPeak, UnitDemand, check_monotone,
-                         check_submodular)
+from .valuations import check_monotone, check_submodular
 
 
 def _parse_fraction_arg(text: str) -> Fraction:
@@ -50,16 +48,6 @@ def _read(path: str) -> bytes:
 
 def _load_instance(path: str):
     return decode_instance(_read(path))
-
-
-def _fast_oracle_for(valuation):
-    if isinstance(valuation, Additive):
-        return additive_demand
-    if isinstance(valuation, UnitDemand):
-        return unit_demand_demand
-    if isinstance(valuation, MultiPeak):
-        return multipeak_demand
-    return None
 
 
 def _cmd_gen(args) -> tuple[dict, int, bytes | None]:
@@ -106,7 +94,7 @@ def _cmd_demand(args) -> tuple[dict, int, None]:
     if not 0 <= args.bidder < len(instance.bidders):
         raise SchemaError(f"bidder index {args.bidder} out of range")
     valuation = instance.bidders[args.bidder]
-    fast = _fast_oracle_for(valuation)
+    fast = fast_oracle(valuation)
     payload: dict = {"bidder": args.bidder, "method": args.method,
                      "instance": instance.metadata}
     code = 0
@@ -192,14 +180,12 @@ def _cmd_bench(args) -> tuple[dict, int, None]:
         seed = args.seed + idx
         if args.family == "multipeak":
             instance = gen_multipeak(args.m, args.s, args.k, args.eps, 1, seed)
-            fast = multipeak_demand
         elif args.family == "additive":
             instance = gen_additive(1, args.m, (0, 8), seed)
-            fast = additive_demand
         else:
             instance = gen_unit_demand(1, args.m, (0, 8), seed)
-            fast = unit_demand_demand
         valuation = instance.bidders[0]
+        fast = fast_oracle(valuation)
         for level in rng_prices:
             prices = PriceVector((level,) * instance.num_items)
             tick = time.perf_counter()

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -283,12 +283,19 @@ def budget_additive_demand(valuation: BudgetAdditive,
     return brute_force_demand(valuation, prices)
 
 
+def fast_oracle(valuation: Valuation
+                ) -> Optional[Callable[[Valuation, PriceVector], DemandResult]]:
+    """The closed-form or polynomial oracle for the valuation's class, or
+    None when the class has only brute force."""
+    if isinstance(valuation, Additive):
+        return additive_demand
+    if isinstance(valuation, UnitDemand):
+        return unit_demand_demand
+    if isinstance(valuation, MultiPeak):
+        return multipeak_demand
+    return None
+
+
 def demand_oracle(valuation: Valuation, prices: PriceVector) -> DemandResult:
     """Dispatch to the best oracle available for the valuation's class."""
-    if isinstance(valuation, Additive):
-        return additive_demand(valuation, prices)
-    if isinstance(valuation, UnitDemand):
-        return unit_demand_demand(valuation, prices)
-    if isinstance(valuation, MultiPeak):
-        return multipeak_demand(valuation, prices)
-    return brute_force_demand(valuation, prices)
+    return (fast_oracle(valuation) or brute_force_demand)(valuation, prices)

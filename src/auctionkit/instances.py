@@ -3,8 +3,10 @@
 Instance documents are JSON with exactly the keys m / bidders / metadata.
 Rationals are canonical "num/den" strings with bare integers as shorthand;
 decoding rejects non-canonical forms like "2/4" unless asked to normalize.
-Explicit tables are keyed by comma-joined sorted item lists ("" is the empty
-set) because JSON objects cannot key on arrays.
+Explicit tables are keyed by comma-joined item lists ("" is the empty set)
+because JSON objects cannot key on arrays; a key must be canonical (decimal
+items in ascending order, no signs, spaces or leading zeros) and each subset
+appears exactly once.
 
 Generators are deterministic functions of (parameters, seed), and every
 generated instance carries its provenance in metadata, so any fixture can be
@@ -19,13 +21,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Optional, Union
 
-from .errors import InfeasibleGenerationError, SchemaError
+from .errors import (GroundSetTooLargeError, InfeasibleGenerationError,
+                     SchemaError)
 from .itemsets import ItemSet
 from .demand import PriceVector
 from .rationals import format_rational, parse_rational
-from .valuations import (Additive, BudgetAdditive, Explicit, MultiPeak,
-                         SetSystem, UnitDemand, Valuation, check_monotone,
-                         validate_set_system)
+from .valuations import (MAX_EXHAUSTIVE_ITEMS, Additive, BudgetAdditive,
+                         Explicit, MultiPeak, SetSystem, UnitDemand, Valuation,
+                         check_monotone, validate_set_system)
 
 MAX_GENERATION_RETRIES = 10_000
 
@@ -164,8 +167,14 @@ def gen_multipeak(m: int, s: int, k: int, eps: Fraction, n: int, seed: int,
 # File format
 # ---------------------------------------------------------------------------
 
-def _table_key(mask: int) -> str:
-    return ",".join(str(j) for j in ItemSet.from_mask(mask))
+def _subset_keys(m: int) -> list[str]:
+    """keys[mask] is the canonical table key of mask, built by doubling: the
+    masks with item j as their largest item repeat the smaller masks' keys
+    with ",j" appended."""
+    keys = [""]
+    for j in range(1, m + 1):
+        keys += [f"{key},{j}" if key else str(j) for key in keys]
+    return keys
 
 
 def _encode_bidder(v: Valuation) -> dict:
@@ -187,8 +196,8 @@ def _encode_bidder(v: Valuation) -> dict:
                 "peaks": [list(p) for p in v.system.peaks]}
     if isinstance(v, Explicit):
         return {"type": "explicit",
-                "table": {_table_key(mask): format_rational(val)
-                          for mask, val in enumerate(v.table)}}
+                "table": dict(zip(_subset_keys(v.num_items),
+                                  map(format_rational, v.table)))}
     raise TypeError(f"unknown valuation class {type(v).__name__}")
 
 
@@ -218,7 +227,42 @@ def _parse_values(raw: Any, m: int, where: str, canonicalize: bool) -> tuple[Fra
     return tuple(out)
 
 
-def _decode_bidder(raw: Any, m: int, where: str, canonicalize: bool) -> Valuation:
+def _read_table(table_raw: Any, m: int, where: str, canonicalize: bool,
+                index: dict[str, int]) -> tuple[Fraction, ...]:
+    """One explicit table as a tuple indexed by mask.  index maps canonical
+    subset keys to masks; it is shared by the tables of one document and
+    built on the first of them."""
+    _expect(isinstance(table_raw, dict), f"{where}: expected an object")
+    # Both refusals come before any per-entry work, so a document that
+    # cannot be valid never makes 2**m of anything.
+    if m > MAX_EXHAUSTIVE_ITEMS:
+        raise GroundSetTooLargeError(
+            f"{where}: explicit tables are limited to "
+            f"{MAX_EXHAUSTIVE_ITEMS} items, got m={m}")
+    _expect(len(table_raw) == 1 << m,
+            f"{where}: expected {1 << m} subsets, got {len(table_raw)}")
+    if not index:
+        index.update((key, mask) for mask, key in enumerate(_subset_keys(m)))
+    dense: list[Optional[Fraction]] = [None] * (1 << m)
+    # With exactly 2**m distinct keys, each of them canonical, every subset
+    # is filled exactly once.
+    for key, entry in table_raw.items():
+        mask = index.get(key)
+        if mask is None:
+            raise SchemaError(
+                f"{where}[{key!r}]: not a canonical subset key (items "
+                f"1..{m} in ascending decimal, comma-separated, with no "
+                "signs, spaces or leading zeros)")
+        val = parse_rational(entry, canonicalize=canonicalize,
+                             where=f"{where}[{key!r}]")
+        _expect(val.numerator >= 0,
+                f"{where}[{key!r}]: values must be nonnegative")
+        dense[mask] = val
+    return tuple(dense)
+
+
+def _decode_bidder(raw: Any, m: int, where: str, canonicalize: bool,
+                   index: dict[str, int]) -> Valuation:
     _expect(isinstance(raw, dict), f"{where}: expected an object")
     kind = raw.get("type")
     try:
@@ -267,26 +311,8 @@ def _decode_bidder(raw: Any, m: int, where: str, canonicalize: bool) -> Valuatio
             return MultiPeak(system, m)
         if kind == "explicit":
             _expect(set(raw) == {"type", "table"}, f"{where}: unexpected keys")
-            table_raw = raw["table"]
-            _expect(isinstance(table_raw, dict), f"{where}.table: expected an object")
-            entries = {}
-            for key, entry in table_raw.items():
-                kwhere = f"{where}.table[{key!r}]"
-                try:
-                    items = [int(tok) for tok in key.split(",")] if key else []
-                except ValueError:
-                    raise SchemaError(f"{kwhere}: malformed subset key")
-                _expect(items == sorted(items) and len(set(items)) == len(items),
-                        f"{kwhere}: subset keys must be sorted and distinct")
-                _expect(all(1 <= j <= m for j in items),
-                        f"{kwhere}: items must lie in 1..{m}")
-                bundle = ItemSet(items)
-                val = parse_rational(entry, canonicalize=canonicalize, where=kwhere)
-                _expect(val >= 0, f"{kwhere}: values must be nonnegative")
-                entries[bundle.mask] = val
-            _expect(len(entries) == 1 << m,
-                    f"{where}.table: expected {1 << m} subsets, got {len(entries)}")
-            valuation = Explicit(m, tuple(entries[mask] for mask in range(1 << m)))
+            valuation = Explicit(m, _read_table(raw["table"], m, f"{where}.table",
+                                                canonicalize, index))
             report = check_monotone(valuation)
             if not report.holds:
                 bad, extra = report.counterexample
@@ -315,8 +341,9 @@ def decode_instance(data: Union[bytes, str], *,
     m = doc["m"]
     _expect(isinstance(m, int) and m >= 1, "m: expected a positive integer")
     _expect(isinstance(doc["bidders"], list), "bidders: expected a list")
+    index: dict[str, int] = {}
     bidders = tuple(
-        _decode_bidder(raw, m, f"bidders[{i}]", canonicalize_rationals)
+        _decode_bidder(raw, m, f"bidders[{i}]", canonicalize_rationals, index)
         for i, raw in enumerate(doc["bidders"]))
     metadata = doc.get("metadata", {})
     _expect(isinstance(metadata, dict), "metadata: expected an object")

@@ -28,8 +28,9 @@ _INT64_GUARD = 1 << 60
 
 
 def _fraction_tuple(values, *, what: str = "item values") -> tuple[Fraction, ...]:
-    out = tuple(Fraction(v) for v in values)
-    if any(v < 0 for v in out):
+    """Values as exact Fractions; a Fraction already is one and is kept."""
+    out = tuple(v if type(v) is Fraction else Fraction(v) for v in values)
+    if any(v.numerator < 0 for v in out):
         raise ValueError(f"{what} must be nonnegative")
     return out
 
@@ -311,7 +312,8 @@ def scaled_table(values, fold=None, cap: Optional[Fraction] = None
     Returns (nums, denom) with denom the LCM of every denominator.  Without
     fold, nums[i] = values[i] * denom.  With fold (np.add or np.maximum) the
     values are per item and nums[mask] folds the items of mask; the table is
-    built by doubling, each item appending the table so far folded with it.
+    built in place by doubling, item i filling the masks that have it as
+    their highest item from the masks below 2**i.
     cap, when given, clips every entry from above.  The dtype comes from
     int_dtype with a bound on every entry and partial fold.
     """
@@ -326,11 +328,12 @@ def scaled_table(values, fold=None, cap: Optional[Fraction] = None
     if fold is None:
         table = np.array(nums, dtype=dtype)
     else:
-        table = np.zeros(1, dtype=dtype)
-        for x in nums:
-            table = np.concatenate([table, fold(table, x)])
+        table = np.zeros(1 << len(nums), dtype=dtype)
+        for i, x in enumerate(nums):
+            half = 1 << i
+            fold(table[:half], x, out=table[half:2 * half])
     if cap_num is not None:
-        table = np.minimum(table, cap_num)
+        np.minimum(table, cap_num, out=table)
     return table, denom
 
 

@@ -4,13 +4,17 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import auctionkit.instances
 from auctionkit import (Additive, Explicit, Instance, ItemSet, PriceVector,
                         UnitDemand, check_submodular, decode_instance,
                         dump_prices, encode_instance, eval_valuation,
                         gen_additive, gen_budget_additive, gen_multipeak,
                         gen_unit_demand, load_prices, validate_set_system)
-from auctionkit.errors import InfeasibleGenerationError, SchemaError
+from auctionkit.errors import (GroundSetTooLargeError,
+                               InfeasibleGenerationError, SchemaError)
 
 
 class TestGenerators:
@@ -116,6 +120,23 @@ class TestRoundTrip:
             assert encode_instance(decoded) == blob
             assert decoded.num_items == inst.num_items
 
+    @given(m=st.integers(1, 6), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_monotone_explicit_tables(self, m, data):
+        """Each subset's value is its best one-smaller subset's plus a
+        random nonnegative rational, so every table is monotone."""
+        increments = data.draw(st.lists(
+            st.fractions(min_value=0, max_value=5, max_denominator=40),
+            min_size=1 << m, max_size=1 << m))
+        table = [F(0)] * (1 << m)
+        for mask in range(1, 1 << m):
+            table[mask] = increments[mask] + max(
+                table[mask & ~(1 << j)] for j in range(m) if mask >> j & 1)
+        blob = encode_instance(Instance(m, (Explicit(m, tuple(table)),)))
+        decoded = decode_instance(blob)
+        assert decoded.bidders[0].table == tuple(table)
+        assert encode_instance(decoded) == blob
+
     def test_prices_round_trip(self):
         prices = PriceVector((F(1, 2), F(3), F(0)))
         assert load_prices(dump_prices(prices), 3) == prices
@@ -166,6 +187,64 @@ class TestDecodeValidation:
         doc = self._doc(bidders=[{"type": "explicit", "table": {"": 0, "1": 1}}])
         with pytest.raises(SchemaError, match="expected 4 subsets"):
             decode_instance(doc)
+
+    @pytest.mark.parametrize("table", [
+        {"": 0, "01": 1, "2": 1, "1,2": 2},
+        {"": 0, " 1": 1, "2": 1, "1,2": 2},
+        {"": 0, "+1": 1, "2": 1, "1,2": 2},
+        {"": 0, "1": 1, "2": 1, "2,1": 2},
+        {"": 0, "1,1": 1, "2": 1, "1,2": 2},
+        {"": 0, "3": 1, "2": 1, "1,2": 2},
+        {"": 0, "x": 1, "2": 1, "1,2": 2},
+        {"": 0, "1": 1, "01": 5, "2": 1, "1,2": 6},
+    ])
+    @pytest.mark.parametrize("canonicalize", [False, True])
+    def test_non_canonical_subset_keys_rejected(self, table, canonicalize):
+        """Keys that once reached a subset through int() ("01", " 1", "+1")
+        no longer decode, and a fifth entry for four subsets is no longer
+        silently folded into one of them."""
+        doc = self._doc(bidders=[{"type": "explicit", "table": table}])
+        with pytest.raises(SchemaError, match=r"bidders\[0\]\.table"):
+            decode_instance(doc, canonicalize_rationals=canonicalize)
+
+    @pytest.mark.parametrize("m, error, message", [
+        (40, GroundSetTooLargeError, "limited to 20 items, got m=40"),
+        (21, GroundSetTooLargeError, "limited to 20 items, got m=21"),
+        (20, SchemaError, "expected 1048576 subsets, got 0"),
+    ])
+    def test_explicit_size_refused_before_any_entry(self, monkeypatch, m,
+                                                    error, message):
+        def refuse(_):
+            raise AssertionError("the subset-key index was built")
+
+        monkeypatch.setattr(auctionkit.instances, "_subset_keys", refuse)
+        doc = self._doc(m=m, bidders=[{"type": "explicit", "table": {}}])
+        with pytest.raises(error, match=r"bidders\[0\]\.table: .*" + message):
+            decode_instance(doc)
+
+    @pytest.mark.parametrize("value, message", [
+        ("-1/2", "nonnegative"),
+        ("2/4", "lowest terms"),
+        (True, "boolean"),
+        (1.0, "got float"),
+        ([1], "got list"),
+    ])
+    def test_explicit_values_refused_with_their_path(self, value, message):
+        """Each bad value is refused at its own key, also one that equals
+        the value 1 read just before it."""
+        doc = self._doc(bidders=[{"type": "explicit",
+                                  "table": {"": 0, "1": 1, "2": value,
+                                            "1,2": 2}}])
+        with pytest.raises(SchemaError,
+                           match=r"bidders\[0\]\.table\['2'\]: .*" + message):
+            decode_instance(doc)
+
+    def test_explicit_value_reduced_only_when_asked(self):
+        doc = self._doc(bidders=[{"type": "explicit",
+                                  "table": {"": 0, "1": "2/4", "2": 1,
+                                            "1,2": "6/4"}}])
+        inst = decode_instance(doc, canonicalize_rationals=True)
+        assert inst.bidders[0].table == (F(0), F(1, 2), F(1), F(3, 2))
 
     def test_unknown_type(self):
         doc = self._doc(bidders=[{"type": "mystery", "values": [1, 2]}])

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,7 @@ from auctionkit import (Additive, BudgetAdditive, Explicit, Instance, ItemSet,
                         eval_valuation, find_close_peak, gen_multipeak,
                         validate_set_system)
 from auctionkit.errors import GroundSetTooLargeError, MalformedSystemError
-from auctionkit.valuations import (submodular_by_definition,
+from auctionkit.valuations import (scaled_table, submodular_by_definition,
                                    submodular_by_marginals, value_table)
 
 from reference import (all_subsets, naive_decreasing_marginals,
@@ -246,6 +247,27 @@ class TestValueTable:
         order = data.draw(st.permutations(range(1, m + 1)))
         peaks = tuple(ItemSet(order[i * size:(i + 1) * size]) for i in range(count))
         _assert_table_matches_value(MultiPeak(SetSystem(peaks, size, eps), m))
+
+    @pytest.mark.parametrize("fold, capped", [(np.add, False),
+                                              (np.maximum, False),
+                                              (np.add, True)])
+    @pytest.mark.parametrize("top", [9, 1 << 70])
+    def test_scaled_table_matches_per_mask_fold(self, fold, capped, top):
+        """The in-place doubling against folding each mask's items one at a
+        time, in int64 and, with values past 2**63, in object dtype."""
+        rng = random.Random(top)
+        values = [F(rng.randint(0, top), rng.randint(1, 6)) for _ in range(7)]
+        cap = sum(values) / 2 if capped else None
+        nums, denom = scaled_table(values, fold, cap)
+        assert nums.dtype == (np.int64 if top < 1 << 60 else object)
+        for mask in range(1 << len(values)):
+            want = F(0)
+            for j, x in enumerate(values):
+                if mask >> j & 1:
+                    want = want + x if fold is np.add else max(want, x)
+            if capped:
+                want = min(want, cap)
+            assert F(int(nums[mask]), denom) == want
 
 
 def _assert_table_matches_value(v):
