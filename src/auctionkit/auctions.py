@@ -22,8 +22,8 @@ from typing import Union
 from .errors import RuleViolationError
 from .itemsets import ItemSet
 from .demand import DemandResult, PriceVector, demand_oracle, utility
-from .equilibrium import (DEFAULT_DEMAND_CAP, Allocation,
-                          envy_free_allocation, unit_demand_envy_free)
+from .equilibrium import (Allocation, envy_free_allocation,
+                          unit_demand_envy_free)
 from .rationals import format_rational
 from .valuations import Additive
 
@@ -191,15 +191,14 @@ class GreedySubmodularRule:
     search finds an envy-free allocation, otherwise raise everything that
     two or more canonical demand sets share; stall when they share nothing."""
 
-    def __init__(self, increment: Fraction, cap: int = DEFAULT_DEMAND_CAP):
+    def __init__(self, increment: Fraction):
         self.increment = Fraction(increment)
         if self.increment <= 0:
             raise ValueError("increment must be positive")
-        self.cap = cap
         self.name = f"greedy(increment={self.increment})"
 
     def __call__(self, instance, prices, demands) -> Decision:
-        report = envy_free_allocation(instance, prices, self.cap)
+        report = envy_free_allocation(instance, prices)
         if report.envy_free:
             return Certify(report.allocation)
         counts = [0] * instance.num_items
@@ -213,8 +212,8 @@ class GreedySubmodularRule:
         return Raise(hot, self.increment)
 
 
-def greedy_submodular_rule(increment, cap: int = DEFAULT_DEMAND_CAP) -> GreedySubmodularRule:
-    return GreedySubmodularRule(increment, cap)
+def greedy_submodular_rule(increment) -> GreedySubmodularRule:
+    return GreedySubmodularRule(increment)
 
 
 # ---------------------------------------------------------------------------

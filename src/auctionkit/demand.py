@@ -24,14 +24,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DemandCapExceededError, GroundSetTooLargeError
+from .errors import DemandCapExceededError
 from .itemsets import (EMPTY_SET, ItemSet, bit_reversals, canonical_key,
                        popcounts)
 from .valuations import (Additive, BudgetAdditive, MultiPeak, UnitDemand,
-                         Valuation, close_region_value, eval_valuation,
-                         int_dtype, scaled_table, value_table)
+                         Valuation, _fraction_tuple, _guard_items,
+                         close_region_value, eval_valuation, int_dtype,
+                         scaled_table, value_table)
 
-MAX_BRUTE_ITEMS = 20
 MAX_ENUMERATION_ITEMS = 16
 
 
@@ -42,10 +42,8 @@ class PriceVector:
     prices: tuple[Fraction, ...]
 
     def __post_init__(self):
-        coerced = tuple(Fraction(p) for p in self.prices)
-        object.__setattr__(self, "prices", coerced)
-        if any(p < 0 for p in coerced):
-            raise ValueError("prices must be nonnegative")
+        object.__setattr__(self, "prices",
+                           _fraction_tuple(self.prices, what="prices"))
 
     @classmethod
     def zero(cls, num_items: int) -> "PriceVector":
@@ -124,9 +122,7 @@ def _canonical_mask(candidates: np.ndarray, num_items: int) -> int:
 def brute_force_demand(valuation: Valuation, prices: PriceVector) -> DemandResult:
     """Exhaustive reference oracle over all 2**m subsets."""
     m = valuation.num_items
-    if m > MAX_BRUTE_ITEMS:
-        raise GroundSetTooLargeError(
-            f"brute-force demand is limited to {MAX_BRUTE_ITEMS} items")
+    _guard_items(m, "brute-force demand")
     util, denom = _utilities(valuation, prices)
     best = util.max()
     hits = np.flatnonzero(util == best)
@@ -138,9 +134,7 @@ def brute_force_demand(valuation: Valuation, prices: PriceVector) -> DemandResul
 def demand_sets(valuation: Valuation, prices: PriceVector, cap: int) -> list[ItemSet]:
     """All utility maximizers in canonical order; errors if more than cap."""
     m = valuation.num_items
-    if m > MAX_ENUMERATION_ITEMS:
-        raise GroundSetTooLargeError(
-            f"demand-set enumeration is limited to {MAX_ENUMERATION_ITEMS} items")
+    _guard_items(m, "demand-set enumeration", MAX_ENUMERATION_ITEMS)
     util, _ = _utilities(valuation, prices)
     hits = np.flatnonzero(util == util.max())
     if len(hits) > cap:

@@ -15,11 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .errors import GridTooLargeError, GroundSetTooLargeError
+from .errors import GridTooLargeError
 from .itemsets import EMPTY_SET, ItemSet
-from .demand import (PriceVector, demand_oracle, demand_sets, utility,
-                     unit_demand_demand)
-from .valuations import UnitDemand, eval_valuation
+from .demand import PriceVector, demand_oracle, demand_sets, utility
+from .valuations import UnitDemand, _guard_items, eval_valuation
 
 DEFAULT_DEMAND_CAP = 4096
 MAX_GRID_POINTS = 10_000_000
@@ -106,14 +105,14 @@ def envy_free_allocation(instance, prices: PriceVector,
 
 def _demanded_items(instance, prices: PriceVector) -> list[list[int]]:
     """Per bidder: the utility-maximizing items, empty when max utility is 0."""
+    if prices.num_items != instance.num_items:
+        raise ValueError("instance and prices disagree on the ground set size")
     demanded = []
     for v in instance.bidders:
-        best = unit_demand_demand(v, prices).max_utility
-        if best == 0:
-            demanded.append([])
-        else:
-            demanded.append([j for j in range(1, instance.num_items + 1)
-                             if v.values[j - 1] - prices.price_of(j) == best])
+        margins = [value - price for value, price in zip(v.values, prices.prices)]
+        best = max(margins)
+        demanded.append([j for j, margin in enumerate(margins, start=1)
+                         if margin == best] if best > 0 else [])
     return demanded
 
 
@@ -181,7 +180,9 @@ def unit_demand_envy_free(instance, prices: PriceVector) -> Union[Allocation, Wi
                 frontier.append(holder)
 
     witness_items = ItemSet(sorted(neighborhood))
-    assert len(_overdemanded(demanded, witness_items)) > len(witness_items)
+    if len(_overdemanded(demanded, witness_items)) <= len(witness_items):
+        raise RuntimeError(
+            f"matching left items {list(witness_items)} that are not overdemanded")
     shrinking = True
     while shrinking:
         shrinking = False
@@ -199,20 +200,20 @@ def _all_unit_demand(instance) -> bool:
     return all(isinstance(v, UnitDemand) for v in instance.bidders)
 
 
-def is_price_envy_free(instance, prices: PriceVector,
-                       cap: int = DEFAULT_DEMAND_CAP) -> bool:
+def is_price_envy_free(instance, prices: PriceVector) -> bool:
     """Decision form; uses the matching route when every bidder is unit-demand."""
     if _all_unit_demand(instance):
         return isinstance(unit_demand_envy_free(instance, prices), Allocation)
-    return envy_free_allocation(instance, prices, cap).envy_free
+    return envy_free_allocation(instance, prices).envy_free
 
 
-def minimal_envy_free(instance, bound: Fraction, step: Fraction,
-                      cap: int = DEFAULT_DEMAND_CAP) -> list[PriceVector]:
+def minimal_envy_free(instance, bound: Fraction, step: Fraction) -> list[PriceVector]:
     """Domination-minimal envy-free points of the step-lattice in [0, bound]^m.
 
     Minimality is certified relative to the grid only: a returned p is
     envy-free and no other envy-free grid point is componentwise <= p.
+    Points are generated one at a time in lexicographic order, so the grid
+    is never held in memory and the result comes out in that order.
     """
     bound, step = Fraction(bound), Fraction(step)
     if step <= 0:
@@ -220,9 +221,7 @@ def minimal_envy_free(instance, bound: Fraction, step: Fraction,
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     m = instance.num_items
-    if m > MAX_GRID_ITEMS:
-        raise GroundSetTooLargeError(
-            f"grid search is limited to {MAX_GRID_ITEMS} items")
+    _guard_items(m, "grid search", MAX_GRID_ITEMS)
     top_value = max(
         (eval_valuation(v, ItemSet([j]))
          for v in instance.bidders for j in range(1, m + 1)),
@@ -238,17 +237,16 @@ def minimal_envy_free(instance, bound: Fraction, step: Fraction,
             f"{MAX_GRID_POINTS}")
     lattice = [step * k for k in range(levels)]
     minimal: list[PriceVector] = []
-    # Scanning in ascending total order means any dominator of the current
-    # point is already in `minimal`, so one antichain check suffices.
-    points = sorted(itertools.product(lattice, repeat=m),
-                    key=lambda t: (sum(t), t))
-    for combo in points:
+    # A point q <= p with q != p differs from p first in a coordinate where
+    # it is smaller, so q precedes p lexicographically.  Every point below p
+    # has therefore been scanned already, and checking p against the
+    # minimal points found so far decides its minimality.
+    for combo in itertools.product(lattice, repeat=m):
         p = PriceVector(combo)
-        if not is_price_envy_free(instance, p, cap):
+        if not is_price_envy_free(instance, p):
             continue
-        if not any(q != p and q.dominated_by(p) for q in minimal):
+        if not any(q.dominated_by(p) for q in minimal):
             minimal.append(p)
-    minimal.sort(key=lambda q: q.prices)
     return minimal
 
 

@@ -229,9 +229,7 @@ class Explicit:
     def __post_init__(self):
         object.__setattr__(
             self, "table", _fraction_tuple(self.table, what="table values"))
-        if self.num_items > MAX_EXHAUSTIVE_ITEMS:
-            raise GroundSetTooLargeError(
-                f"explicit tables are limited to {MAX_EXHAUSTIVE_ITEMS} items")
+        _guard_items(self.num_items, "an explicit table")
         if len(self.table) != 1 << self.num_items:
             raise ValueError(
                 f"table must have {1 << self.num_items} entries, "
@@ -337,11 +335,12 @@ def scaled_table(values, fold=None, cap: Optional[Fraction] = None
     return table, denom
 
 
-def _guard_items(num_items: int, what: str) -> None:
-    if num_items > MAX_EXHAUSTIVE_ITEMS:
+def _guard_items(num_items: int, what: str,
+                 limit: int = MAX_EXHAUSTIVE_ITEMS) -> None:
+    """Refuse a ground set above the limit of the routine named by `what`."""
+    if num_items > limit:
         raise GroundSetTooLargeError(
-            f"{what} enumerates all subsets; limited to "
-            f"{MAX_EXHAUSTIVE_ITEMS} items, got {num_items}")
+            f"{what} is limited to {limit} items, got {num_items}")
 
 
 def value_table(valuation: Valuation) -> ValueTable:

@@ -72,8 +72,12 @@ class TestBruteForceDemand:
                 assert result.argmax_count == expect_count
 
     def test_ground_set_cap(self):
-        with pytest.raises(GroundSetTooLargeError):
+        with pytest.raises(GroundSetTooLargeError,
+                           match="brute-force demand is limited to 20 items, got 21"):
             brute_force_demand(Additive((F(1),) * 21), PriceVector.zero(21))
+        with pytest.raises(GroundSetTooLargeError,
+                           match="demand-set enumeration is limited to 16 items, got 17"):
+            demand_sets(Additive((F(1),) * 17), PriceVector.zero(17), cap=1)
 
     def test_scales_past_int64_stay_exact(self):
         """Common denominators beyond int64 switch to exact Python ints, even

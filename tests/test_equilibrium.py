@@ -1,18 +1,38 @@
 """Envy-free search, the unit-demand matching route, witnesses, and grids."""
 
+import itertools
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
 
-from auctionkit import (Additive, Allocation, EMPTY_SET, Instance, ItemSet,
-                        PriceVector, UnitDemand, Witness, brute_force_demand,
-                        envy_free_allocation, gen_unit_demand,
-                        is_price_envy_free, is_walrasian, minimal_envy_free,
-                        unit_demand_envy_free, utility)
-from auctionkit.errors import GridTooLargeError
+from auctionkit import (Additive, Allocation, EMPTY_SET, Explicit, Instance,
+                        ItemSet, PriceVector, UnitDemand, Witness,
+                        brute_force_demand, envy_free_allocation,
+                        gen_unit_demand, is_price_envy_free, is_walrasian,
+                        minimal_envy_free, unit_demand_envy_free, utility)
+from auctionkit import equilibrium
+from auctionkit.errors import GridTooLargeError, GroundSetTooLargeError
 
 from reference import naive_envy_free, overdemand_margin
+
+
+def naive_minimal_envy_free(instance, bound, step):
+    """Every grid point checked by the unpruned search, then the
+    domination-minimal ones kept, in lexicographic order."""
+    lattice = [step * k for k in range(int(bound / step) + 1)]
+    grid = [PriceVector(t)
+            for t in itertools.product(lattice, repeat=instance.num_items)]
+    free = [p for p in grid if naive_envy_free(instance, p)]
+    minimal = [p for p in free
+               if not any(q != p and q.dominated_by(p) for q in free)]
+    return sorted(minimal, key=lambda p: p.prices)
+
+
+def _random_explicit(rng, m, top):
+    return Explicit(m, (F(0),) + tuple(F(rng.randint(0, 2 * top), 2)
+                                       for _ in range(2 ** m - 1)))
 
 
 class TestEnvyFreeAllocation:
@@ -79,6 +99,14 @@ class TestUnitDemandEnvyFree:
         with pytest.raises(TypeError, match="unit-demand"):
             unit_demand_envy_free(inst, PriceVector.zero(1))
 
+    def test_witness_that_is_not_overdemanded_is_an_internal_error(
+            self, monkeypatch):
+        """The witness check must survive `python -O`, so it is no assert."""
+        inst = Instance(1, tuple(UnitDemand((F(5),)) for _ in range(3)))
+        monkeypatch.setattr(equilibrium, "_overdemanded", lambda *args: [])
+        with pytest.raises(RuntimeError, match="not overdemanded"):
+            unit_demand_envy_free(inst, PriceVector.zero(1))
+
     def test_agreement_and_witness_validity_random(self):
         rng = random.Random(32)
         for _ in range(60):
@@ -137,6 +165,55 @@ class TestMinimalEnvyFree:
                     if q != p and q.dominated_by(p):
                         assert not is_price_envy_free(inst, q)
 
+    def test_matches_naive_reference_unit_demand(self):
+        rng = random.Random(35)
+        for _ in range(12):
+            n, m = rng.randint(1, 3), rng.randint(1, 3)
+            inst = gen_unit_demand(n, m, (0, 3), seed=rng.randint(0, 999))
+            step = rng.choice((F(1), F(3, 2)))
+            assert minimal_envy_free(inst, F(3), step) == \
+                naive_minimal_envy_free(inst, F(3), step)
+
+    def test_matches_naive_reference_additive_explicit_mix(self):
+        """Mixed bidders take the demand-set search route, not the matching."""
+        rng = random.Random(36)
+        for _ in range(12):
+            m = rng.randint(1, 2)
+            bidders = tuple(
+                Additive(tuple(F(rng.randint(0, 3)) for _ in range(m)))
+                if rng.random() < 0.5 else _random_explicit(rng, m, 3)
+                for _ in range(rng.randint(1, 3)))
+            inst = Instance(m, bidders)
+            step = rng.choice((F(1), F(1, 2)))
+            assert minimal_envy_free(inst, F(3), step) == \
+                naive_minimal_envy_free(inst, F(3), step)
+
+    def test_grid_is_not_materialised(self, monkeypatch):
+        """By the first check, the scan has allocated next to nothing: the
+        6**6 grid points are generated one at a time."""
+
+        class FirstPoint(Exception):
+            pass
+
+        def stop(*args):
+            raise FirstPoint(tracemalloc.get_traced_memory()[1])
+
+        inst = gen_unit_demand(2, 6, (0, 5), seed=3)
+        monkeypatch.setattr(equilibrium, "is_price_envy_free", stop)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FirstPoint) as caught:
+                minimal_envy_free(inst, F(5), F(1))
+        finally:
+            tracemalloc.stop()
+        assert caught.value.args[0] < 256 * 1024
+
+    def test_ground_set_limit(self):
+        inst = gen_unit_demand(1, 7, (0, 1), seed=1)
+        with pytest.raises(GroundSetTooLargeError,
+                           match="grid search is limited to 6 items, got 7"):
+            minimal_envy_free(inst, F(1), F(1))
+
     def test_bound_below_values_rejected(self, single_item_3_5):
         with pytest.raises(ValueError, match="below the largest"):
             minimal_envy_free(single_item_3_5, F(2), F(1))
@@ -149,6 +226,17 @@ class TestMinimalEnvyFree:
     def test_fractional_step(self, single_item_3_5):
         points = minimal_envy_free(single_item_3_5, F(6), F(1, 2))
         assert [p.prices for p in points] == [(F(3),)]
+
+
+class TestIsPriceEnvyFree:
+    @pytest.mark.parametrize("bidder", [UnitDemand((F(3), F(1))),
+                                        Additive((F(3), F(1)))],
+                             ids=["matching", "search"])
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_wrong_length_prices_rejected(self, bidder, length):
+        inst = Instance(2, (bidder, bidder))
+        with pytest.raises(ValueError, match="ground set size"):
+            is_price_envy_free(inst, PriceVector((F(1),) * length))
 
 
 class TestIsWalrasian:
