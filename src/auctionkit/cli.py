@@ -6,14 +6,15 @@ deterministic inputs; wall-clock timing lives in a separate key so reports
 can be compared ignoring it.  Exit codes: 0 success, 1 domain failure
 (a mismatching --compare, a failed --expect, a broken rule), 2 usage or
 schema errors, 3 internal error (such as the two submodularity checkers
-disagreeing), which signals a bug in auctionkit, never a property of the
-input.
+disagreeing, or an arithmetic error such as an overflow), which signals a
+bug in auctionkit, never a property of the input.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -239,7 +240,10 @@ def _render_csv(report: dict, out) -> None:
                          row["fast_us"], row["brute_us"], row["match"]])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, so every call of main shares it."""
     parser = argparse.ArgumentParser(
         prog="auctionkit",
         description="Exact-arithmetic combinatorial-auction toolkit")
@@ -348,7 +352,7 @@ def main(argv=None) -> int:
     except AuctionkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
+    except (RuntimeError, ArithmeticError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
     payload, code, document = result if len(result) == 3 else (*result, None)

@@ -96,53 +96,61 @@ def utility(valuation: Valuation, prices: PriceVector, bundle: ItemSet) -> Fract
 
 def _utilities(valuation: Valuation, prices: PriceVector) -> tuple[np.ndarray, int]:
     """Scaled utilities over all masks: utilities[mask] / denom."""
-    if valuation.num_items != prices.num_items:
-        raise ValueError("valuation and prices disagree on the ground set size")
     vt = value_table(valuation)
     pnums, pden = scaled_table(prices.prices, np.add)
     denom = math.lcm(vt.denom, pden)
     a, b = denom // vt.denom, denom // pden
-    vmax = int(np.max(np.abs(vt.nums))) if len(vt.nums) else 0
     pmax = int(pnums[-1]) if len(pnums) else 0
     # Bounds a and b themselves too: they enter int64 arithmetic even when
     # every value or every price is zero.
-    dtype = int_dtype(max(vmax, 1) * a + max(pmax, 1) * b)
+    dtype = int_dtype(max(vt.max_abs, 1) * a + max(pmax, 1) * b)
     util = vt.nums.astype(dtype, copy=False) * a - pnums.astype(dtype, copy=False) * b
     return util, denom
 
 
-def _canonical_mask(candidates: np.ndarray, num_items: int) -> int:
-    """Pick min cardinality, then lexicographically smallest item list."""
-    cards = popcounts(candidates)
-    smallest = candidates[cards == cards.min()]
-    rev = bit_reversals(num_items)[smallest]
-    return int(smallest[np.argmax(rev)])
+def _maximizers(valuation: Valuation, prices: PriceVector
+                ) -> tuple[Fraction, np.ndarray]:
+    """Maximum utility and every maximizing mask, in canonical order.
+
+    The last query is kept on the valuation, outside its dataclass fields,
+    as (prices, max utility, read-only masks); a query at prices equal to
+    the kept ones returns it without rebuilding the utility table.  One
+    auction step asks each bidder twice at the same prices: the engine's
+    demand query, then the rule's demand-set enumeration.
+    """
+    if valuation.num_items != prices.num_items:
+        raise ValueError("valuation and prices disagree on the ground set size")
+    last = getattr(valuation, "_last_demand", None)
+    if last is not None and last[0] == prices:
+        return last[1], last[2]
+    util, denom = _utilities(valuation, prices)
+    best = util.max()
+    masks = np.flatnonzero(util == best)
+    if len(masks) > 1:
+        rev = bit_reversals(valuation.num_items)[masks]
+        masks = masks[np.lexsort((-rev, popcounts(masks)))]
+    masks.flags.writeable = False
+    top = Fraction(int(best), denom)
+    object.__setattr__(valuation, "_last_demand", (prices, top, masks))
+    return top, masks
 
 
 def brute_force_demand(valuation: Valuation, prices: PriceVector) -> DemandResult:
     """Exhaustive reference oracle over all 2**m subsets."""
-    m = valuation.num_items
-    _guard_items(m, "brute-force demand")
-    util, denom = _utilities(valuation, prices)
-    best = util.max()
-    hits = np.flatnonzero(util == best)
-    mask = _canonical_mask(hits, m)
-    return DemandResult(Fraction(int(best), denom), ItemSet.from_mask(mask),
-                        argmax_count=len(hits))
+    _guard_items(valuation.num_items, "brute-force demand")
+    top, masks = _maximizers(valuation, prices)
+    return DemandResult(top, ItemSet.from_mask(int(masks[0])),
+                        argmax_count=len(masks))
 
 
 def demand_sets(valuation: Valuation, prices: PriceVector, cap: int) -> list[ItemSet]:
     """All utility maximizers in canonical order; errors if more than cap."""
-    m = valuation.num_items
-    _guard_items(m, "demand-set enumeration", MAX_ENUMERATION_ITEMS)
-    util, _ = _utilities(valuation, prices)
-    hits = np.flatnonzero(util == util.max())
-    if len(hits) > cap:
-        raise DemandCapExceededError(len(hits), cap)
-    cards = popcounts(hits)
-    rev = bit_reversals(m)[hits]
-    order = np.lexsort((-rev, cards))
-    return [ItemSet.from_mask(int(mask)) for mask in hits[order]]
+    _guard_items(valuation.num_items, "demand-set enumeration",
+                 MAX_ENUMERATION_ITEMS)
+    _, masks = _maximizers(valuation, prices)
+    if len(masks) > cap:
+        raise DemandCapExceededError(len(masks), cap)
+    return [ItemSet.from_mask(int(mask)) for mask in masks]
 
 
 def algorithm_zero(prices: PriceVector, size: int) -> ItemSet:

@@ -70,6 +70,13 @@ class EnvyFreeReport:
     nodes_explored: int
 
 
+def _check_ground_set(instance, prices: PriceVector) -> None:
+    """Refuse prices of the wrong length before any per-bidder work, so an
+    instance without bidders is refused too."""
+    if prices.num_items != instance.num_items:
+        raise ValueError("instance and prices disagree on the ground set size")
+
+
 def envy_free_allocation(instance, prices: PriceVector,
                          cap: int = DEFAULT_DEMAND_CAP) -> EnvyFreeReport:
     """Backtracking search for pairwise-disjoint demand sets, one per bidder.
@@ -78,6 +85,7 @@ def envy_free_allocation(instance, prices: PriceVector,
     (most constrained first), sets in canonical order, so reports are
     deterministic.  nodes_explored counts attempted assignments.
     """
+    _check_ground_set(instance, prices)
     options = [demand_sets(v, prices, cap) for v in instance.bidders]
     n = len(options)
     order = sorted(range(n), key=lambda i: (-len(options[i][0]), i))
@@ -105,8 +113,7 @@ def envy_free_allocation(instance, prices: PriceVector,
 
 def _demanded_items(instance, prices: PriceVector) -> list[list[int]]:
     """Per bidder: the utility-maximizing items, empty when max utility is 0."""
-    if prices.num_items != instance.num_items:
-        raise ValueError("instance and prices disagree on the ground set size")
+    _check_ground_set(instance, prices)
     demanded = []
     for v in instance.bidders:
         margins = [value - price for value, price in zip(v.values, prices.prices)]
@@ -256,6 +263,7 @@ def is_walrasian(instance, prices: PriceVector, allocation: Allocation) -> bool:
     The allocation must be envy-free at the given prices (each bidder's set
     attains its maximum utility); anything else is a caller error.
     """
+    _check_ground_set(instance, prices)
     for i, v in enumerate(instance.bidders):
         if utility(v, prices, allocation.assigned[i]) != demand_oracle(v, prices).max_utility:
             raise ValueError(

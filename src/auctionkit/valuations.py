@@ -10,7 +10,7 @@ structure, and callers are expected to consult them rather than assume.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -294,6 +294,11 @@ class ValueTable:
     nums: np.ndarray  # int64, or object dtype when int64 would overflow
     denom: int
     num_items: int
+    # The largest |nums[mask]|, taken once here for every later overflow bound.
+    max_abs: int = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "max_abs", int(np.max(np.abs(self.nums))))
 
 
 def int_dtype(bound: int):

@@ -2,11 +2,14 @@
 
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from auctionkit import PriceVector, dump_prices, valuations
+from auctionkit import PriceVector, cli, dump_prices, valuations
 from auctionkit.cli import main
+
+TRACE_FIXTURE = Path(__file__).parent / "data" / "mp1_greedy_trace.json"
 
 
 @pytest.fixture()
@@ -125,6 +128,15 @@ class TestValidate:
         assert main(["validate", mp1_file]) == 3
         assert "internal error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("error", [OverflowError, ZeroDivisionError])
+    def test_arithmetic_error_exits_3(self, capsys, monkeypatch, mp1_file, error):
+        def broken(args):
+            raise error("int too large to convert")
+
+        monkeypatch.setitem(cli._HANDLERS, "validate", broken)
+        assert main(["validate", mp1_file]) == 3
+        assert "internal error: int too large" in capsys.readouterr().err
+
 
 class TestEnvyFree:
     def test_mp1_pair_not_envy_free(self, capsys, mp1_file, zero_prices_file):
@@ -203,3 +215,66 @@ class TestDeterminism:
         _, first = run_json(capsys, "envyfree", mp1_file, zero_prices_file)
         _, second = run_json(capsys, "envyfree", mp1_file, zero_prices_file)
         assert first["result"] == second["result"]  # timing_ms may differ
+
+
+def _without_timing(out: str):
+    report = json.loads(out)
+    del report["timing_ms"]
+    return report
+
+
+class TestSharedParser:
+    """main parses with one parser per process; every report must equal a
+    run with a freshly built parser."""
+
+    def _run_all(self, capsys, mp1_file, zero_prices_file):
+        runs = [
+            ["gen", "additive", "--n", "2", "--m", "3", "--seed", "5"],
+            ["auction", mp1_file, "--rule", "greedy", "--increment", "1/4",
+             "--max-steps", "20"],
+            ["demand", mp1_file, zero_prices_file, "--method", "fast"],
+            ["auction", mp1_file, "--rule", "nope"],
+            ["gen", "additive", "--n", "3", "--m", "2"],
+            ["demand", mp1_file, zero_prices_file, "--bidder", "1"],
+        ]
+        outputs = []
+        for argv in runs:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr().out
+            if code == 0 and argv[0] != "gen":
+                out = _without_timing(out)
+            outputs.append((code, out))
+        return outputs
+
+    def test_reports_match_a_fresh_parser(self, capsys, monkeypatch, mp1_file,
+                                          zero_prices_file):
+        assert cli.build_parser() is cli.build_parser()
+        shared = self._run_all(capsys, mp1_file, zero_prices_file)
+        assert [code for code, _ in shared] == [0, 0, 0, 2, 0, 0]
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        assert cli.build_parser() is not cli.build_parser()
+        assert self._run_all(capsys, mp1_file, zero_prices_file) == shared
+
+    def test_bad_argument_after_a_good_call_exits_2(self, capsys, mp1_file):
+        assert main(["validate", mp1_file]) == 0
+        for argv in (["validate"], ["auction", mp1_file, "--max-steps", "x",
+                                    "--rule", "greedy"], ["nosuch"]):
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 2
+        assert main(["validate", mp1_file]) == 0
+
+    def test_auction_trace_matches_the_frozen_fixture(self, capsys, mp1_file):
+        """The greedy auction on the mp1 pair through the CLI, twice in one
+        process, reproduces the trace fixture byte for byte."""
+        for _ in range(2):
+            code, report = run_json(capsys, "auction", mp1_file, "--rule",
+                                    "greedy", "--increment", "1/8",
+                                    "--max-steps", "200")
+            assert code == 0
+            blob = (json.dumps(report["result"]["trace"], sort_keys=True,
+                               indent=2) + "\n").encode()
+            assert blob == TRACE_FIXTURE.read_bytes()

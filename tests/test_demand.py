@@ -5,12 +5,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from auctionkit import (Additive, BudgetAdditive, Explicit, ItemSet, MultiPeak,
-                        PriceVector, SetSystem, UnitDemand, additive_demand,
-                        algorithm_peak, algorithm_zero, brute_force_demand,
-                        budget_additive_demand, check_monotone,
-                        check_submodular, demand_oracle, demand_sets,
-                        multipeak_demand, unit_demand_demand, utility)
+from auctionkit import (Additive, BudgetAdditive, Explicit, Instance, ItemSet,
+                        MultiPeak, PriceVector, SetSystem, UnitDemand,
+                        additive_demand, algorithm_peak, algorithm_zero,
+                        brute_force_demand, budget_additive_demand,
+                        check_monotone, check_submodular, demand,
+                        demand_oracle, demand_sets, encode_instance,
+                        greedy_submodular_rule, multipeak_demand,
+                        run_ascending, unit_demand_demand, utility)
 from auctionkit.errors import DemandCapExceededError, GroundSetTooLargeError
 
 from reference import naive_demand, naive_demand_sets
@@ -288,6 +290,124 @@ class TestOracleProperties:
             outside = ItemSet(range(1, 9)) - result.witness_set
             bumped = prices.raised(outside, F(5, 3)) if outside else prices
             assert utility(mp1, bumped, result.witness_set) == result.max_utility
+
+
+def _random_valuation(rng, m):
+    """An Explicit, Additive or MultiPeak valuation on m items, with small
+    integer values so that ties are common."""
+    kind = rng.choice(["explicit", "additive", "multipeak"])
+    if kind == "explicit":
+        return Explicit(m, (F(0),) + tuple(F(rng.randint(0, 6), rng.choice([1, 2]))
+                                           for _ in range((1 << m) - 1)))
+    if kind == "additive":
+        return Additive(tuple(F(rng.randint(0, 4)) for _ in range(m)))
+    size = rng.randint(-(-m // 4), m)
+    order = rng.sample(range(1, m + 1), m)
+    peaks = tuple(ItemSet(order[i * size:(i + 1) * size])
+                  for i in range(rng.randint(1, m // size)))
+    return MultiPeak(SetSystem(peaks, size, F(rng.randint(1, 5), 6)), m)
+
+
+def _count_utility_tables(monkeypatch):
+    calls = []
+    build = demand._utilities
+
+    def counted(valuation, prices):
+        calls.append(valuation)
+        return build(valuation, prices)
+
+    monkeypatch.setattr(demand, "_utilities", counted)
+    return calls
+
+
+def _fresh_mp1():
+    """mp1 built anew, so that no earlier query is kept on it."""
+    return MultiPeak(SetSystem((ItemSet([1, 2, 3, 4]), ItemSet([5, 6, 7, 8])),
+                               4, F(1, 2)), 8)
+
+
+class TestSharedMaximizers:
+    """brute_force_demand and demand_sets share the last query kept on the
+    valuation; every answer must still equal the naive reference."""
+
+    def test_interleaved_queries_match_naive(self):
+        rng = random.Random(29)
+        for trial in range(40):
+            m = rng.randint(1, 6)
+            v = _random_valuation(rng, m)
+            p1 = _random_prices(rng, m, top=4)
+            p2 = _random_prices(rng, m, top=4)
+            fresh = PriceVector(tuple(F(x.numerator, x.denominator)
+                                      for x in p1.prices))
+            assert fresh == p1 and fresh is not p1
+            for step, prices in enumerate((p1, p2, p1, fresh)):
+                best, witness, count = naive_demand(v, prices)
+                sets = naive_demand_sets(v, prices)
+                # Alternate which route asks first, so each one meets the
+                # other's kept query.
+                if (trial + step) % 2:
+                    got = brute_force_demand(v, prices)
+                    got_sets = demand_sets(v, prices, cap=1 << m)
+                else:
+                    got_sets = demand_sets(v, prices, cap=1 << m)
+                    got = brute_force_demand(v, prices)
+                assert (got.max_utility, got.witness_set, got.argmax_count) == \
+                    (best, witness, count)
+                assert got_sets == sets
+
+    def test_kept_query_is_invisible(self):
+        rng = random.Random(30)
+        for _ in range(12):
+            m = rng.randint(1, 6)
+            state = rng.getstate()
+            v = _random_valuation(rng, m)
+            rng.setstate(state)
+            twin = _random_valuation(rng, m)
+            before = (hash(v), repr(v), encode_instance(Instance(m, (v,))))
+            brute_force_demand(v, _random_prices(rng, m))
+            assert v == twin and v is not twin
+            assert (hash(v), repr(v), encode_instance(Instance(m, (v,)))) == \
+                before == \
+                (hash(twin), repr(twin), encode_instance(Instance(m, (twin,))))
+
+    def test_refusals_after_a_kept_query(self, monkeypatch):
+        v = _fresh_mp1()
+        calls = _count_utility_tables(monkeypatch)
+        assert brute_force_demand(v, P0_8).argmax_count == 8
+        with pytest.raises(DemandCapExceededError):
+            demand_sets(v, PriceVector.zero(8), cap=4)
+        assert len(calls) == 1
+        for prices in (PriceVector.zero(7), PriceVector.zero(9)):
+            for query in (brute_force_demand,
+                          lambda v, p: demand_sets(v, p, cap=16)):
+                with pytest.raises(ValueError, match="ground set size"):
+                    query(v, prices)
+        assert len(demand_sets(v, P0_8, cap=8)) == 8
+        assert len(calls) == 1
+
+    def test_one_utility_table_per_bidder_per_step(self, monkeypatch):
+        rng = random.Random(31)
+        bidders = tuple(Explicit(4, (F(0),) + tuple(F(rng.randint(2, 8))
+                                                    for _ in range(15)))
+                        for _ in range(3))
+        calls = _count_utility_tables(monkeypatch)
+        trace = run_ascending(Instance(4, bidders),
+                              greedy_submodular_rule(F(1, 2)), max_steps=50)
+        assert len(trace.steps) >= 2
+        assert len(calls) == len(bidders) * len(trace.steps)
+        for v in bidders:
+            assert sum(c is v for c in calls) == len(trace.steps)
+
+    def test_a_bidder_listed_twice_shares_its_kept_query(self, monkeypatch):
+        """The mp1 pair lists one object twice; the engine asks the
+        polynomial oracle, and of the rule's two demand-set enumerations
+        per step the second reuses the first one's query."""
+        v = _fresh_mp1()
+        calls = _count_utility_tables(monkeypatch)
+        trace = run_ascending(Instance(8, (v, v)),
+                              greedy_submodular_rule(F(1, 8)), max_steps=200)
+        assert len(trace.steps) >= 2
+        assert len(calls) == len(trace.steps)
 
 
 class TestPriceVector:

@@ -238,6 +238,18 @@ class TestIsPriceEnvyFree:
         with pytest.raises(ValueError, match="ground set size"):
             is_price_envy_free(inst, PriceVector((F(1),) * length))
 
+    @pytest.mark.parametrize("check", [
+        is_price_envy_free,
+        envy_free_allocation,
+        lambda inst, prices: is_walrasian(inst, prices, Allocation(())),
+    ], ids=["is_price_envy_free", "envy_free_allocation", "is_walrasian"])
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_wrong_length_prices_rejected_without_bidders(self, check, length):
+        """The length is checked before any per-bidder work, so an instance
+        with no bidders refuses a wrong-length price vector too."""
+        with pytest.raises(ValueError, match="ground set size"):
+            check(Instance(2, ()), PriceVector.zero(length))
+
 
 class TestIsWalrasian:
     def test_fully_allocated(self, single_item_3_5):

@@ -272,6 +272,7 @@ class TestValueTable:
 
 def _assert_table_matches_value(v):
     table = value_table(v)
+    assert table.max_abs == max(abs(x) for x in table.nums.tolist())
     for bundle in all_subsets(v.num_items):
         assert F(int(table.nums[bundle.mask]), table.denom) == \
             eval_valuation(v, bundle)
