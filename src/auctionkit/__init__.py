@@ -60,7 +60,6 @@ from .auctions import (
     english_additive_rule,
     greedy_submodular_rule,
     run_ascending,
-    serialize_trace,
 )
 from .instances import (
     Instance,
@@ -72,6 +71,7 @@ from .instances import (
     gen_multipeak,
     gen_unit_demand,
     load_prices,
+    serialize_trace,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

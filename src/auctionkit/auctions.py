@@ -14,7 +14,6 @@ worth observing on submodular instances.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -24,7 +23,6 @@ from .itemsets import ItemSet
 from .demand import DemandResult, PriceVector, demand_oracle, utility
 from .equilibrium import (Allocation, envy_free_allocation,
                           unit_demand_envy_free)
-from .rationals import format_rational
 from .valuations import Additive
 
 
@@ -130,15 +128,24 @@ def run_ascending(instance, rule, max_steps: int) -> AuctionTrace:
     return AuctionTrace(tuple(steps), StepLimitOutcome(prices))
 
 
-class DgsRule:
-    """Unit-demand auction: raise a minimal overdemanded set until a
-    perfect matching of the demanders exists, then certify it."""
+class _IncrementRule:
+    """A rule that raises by one fixed positive increment; its name records
+    the increment after the subclass's label."""
+
+    label: str
 
     def __init__(self, increment: Fraction):
         self.increment = Fraction(increment)
         if self.increment <= 0:
             raise ValueError("increment must be positive")
-        self.name = f"dgs(increment={self.increment})"
+        self.name = f"{self.label}(increment={self.increment})"
+
+
+class DgsRule(_IncrementRule):
+    """Unit-demand auction: raise a minimal overdemanded set until a
+    perfect matching of the demanders exists, then certify it."""
+
+    label = "dgs"
 
     def __call__(self, instance, prices, demands) -> Decision:
         result = unit_demand_envy_free(instance, prices)
@@ -151,16 +158,12 @@ def dgs_rule(increment) -> DgsRule:
     return DgsRule(increment)
 
 
-class EnglishAdditiveRule:
+class EnglishAdditiveRule(_IncrementRule):
     """Per-item English auction for additive bidders: raise every item that
     at least two bidders strictly want; once each item has at most one
     strict demander, give it to that bidder and certify."""
 
-    def __init__(self, increment: Fraction):
-        self.increment = Fraction(increment)
-        if self.increment <= 0:
-            raise ValueError("increment must be positive")
-        self.name = f"english(increment={self.increment})"
+    label = "english"
 
     def __call__(self, instance, prices, demands) -> Decision:
         for i, v in enumerate(instance.bidders):
@@ -186,16 +189,12 @@ def english_additive_rule(increment) -> EnglishAdditiveRule:
     return EnglishAdditiveRule(increment)
 
 
-class GreedySubmodularRule:
+class GreedySubmodularRule(_IncrementRule):
     """Demonstration rule for general bidders: certify when the demand-set
     search finds an envy-free allocation, otherwise raise everything that
     two or more canonical demand sets share; stall when they share nothing."""
 
-    def __init__(self, increment: Fraction):
-        self.increment = Fraction(increment)
-        if self.increment <= 0:
-            raise ValueError("increment must be positive")
-        self.name = f"greedy(increment={self.increment})"
+    label = "greedy"
 
     def __call__(self, instance, prices, demands) -> Decision:
         report = envy_free_allocation(instance, prices)
@@ -214,56 +213,3 @@ class GreedySubmodularRule:
 
 def greedy_submodular_rule(increment) -> GreedySubmodularRule:
     return GreedySubmodularRule(increment)
-
-
-# ---------------------------------------------------------------------------
-# Trace serialization (deterministic, exact)
-# ---------------------------------------------------------------------------
-
-def demand_payload(result: DemandResult) -> dict:
-    """JSON form of a demand result, in traces and in the demand command."""
-    return {
-        "maxUtility": format_rational(result.max_utility),
-        "set": list(result.witness_set),
-        "count": result.argmax_count,
-    }
-
-
-def _action_payload(action: Decision) -> dict:
-    if isinstance(action, Raise):
-        return {"kind": "raise", "items": list(action.items),
-                "increment": format_rational(action.increment)}
-    if isinstance(action, Certify):
-        return {"kind": "certify",
-                "allocation": [list(s) for s in action.allocation.assigned]}
-    return {"kind": "stall"}
-
-
-def trace_payload(trace: AuctionTrace) -> dict:
-    steps = [
-        {
-            "prices": [format_rational(p) for p in step.prices.prices],
-            "demands": [demand_payload(d) for d in step.demands],
-            "action": _action_payload(step.action),
-        }
-        for step in trace.steps
-    ]
-    outcome: dict
-    if isinstance(trace.outcome, EnvyFreeOutcome):
-        outcome = {
-            "kind": "envy_free",
-            "prices": [format_rational(p) for p in trace.outcome.prices.prices],
-            "allocation": [list(s) for s in trace.outcome.allocation.assigned],
-        }
-    elif isinstance(trace.outcome, StalledOutcome):
-        outcome = {"kind": "stalled",
-                   "prices": [format_rational(p) for p in trace.outcome.prices.prices]}
-    else:
-        outcome = {"kind": "step_limit",
-                   "prices": [format_rational(p) for p in trace.outcome.prices.prices]}
-    return {"steps": steps, "outcome": outcome}
-
-
-def serialize_trace(trace: AuctionTrace) -> bytes:
-    """Deterministic byte encoding of a trace, for fixtures and reports."""
-    return (json.dumps(trace_payload(trace), sort_keys=True, indent=2) + "\n").encode()

@@ -16,21 +16,21 @@ import argparse
 import csv
 import functools
 import io
-import json
 import sys
 import time
 from fractions import Fraction
 
 from . import __version__
-from .auctions import (demand_payload, dgs_rule, english_additive_rule,
-                       greedy_submodular_rule, run_ascending, trace_payload)
+from .auctions import (dgs_rule, english_additive_rule, greedy_submodular_rule,
+                       run_ascending)
 from .demand import PriceVector, brute_force_demand, fast_oracle
 from .equilibrium import (DEFAULT_DEMAND_CAP, envy_free_allocation,
                           minimal_envy_free)
 from .errors import AuctionkitError, RuleViolationError, SchemaError
-from .instances import (decode_instance, encode_instance, gen_additive,
+from .instances import (allocation_payload, decode_instance, demand_payload,
+                        dumps, encode_instance, gen_additive,
                         gen_budget_additive, gen_multipeak, gen_unit_demand,
-                        load_prices)
+                        load_prices, prices_payload, trace_payload)
 from .rationals import format_rational, parse_rational
 from .valuations import check_monotone, check_submodular
 
@@ -127,7 +127,7 @@ def _cmd_envyfree(args) -> tuple[dict, int, None]:
         "nodes_explored": report.nodes_explored,
     }
     if report.allocation is not None:
-        payload["allocation"] = [list(s) for s in report.allocation.assigned]
+        payload["allocation"] = allocation_payload(report.allocation)
     if report.witness is not None:
         payload["witness"] = {"kind": report.witness.kind,
                               "items": list(report.witness.items),
@@ -147,8 +147,7 @@ def _cmd_minimal_ef(args) -> tuple[dict, int, None]:
         "instance": instance.metadata,
         "bound": format_rational(args.bound),
         "step": format_rational(args.step),
-        "minimal_envy_free": [[format_rational(x) for x in p.prices]
-                              for p in points],
+        "minimal_envy_free": [prices_payload(p) for p in points],
         "note": "minimality certified relative to the search grid",
     }
     return payload, 0, None
@@ -238,6 +237,14 @@ def _render_csv(report: dict, out) -> None:
     for row in rows:
         writer.writerow([row["seed"], row["m"], row["price_level"],
                          row["fast_us"], row["brute_us"], row["match"]])
+
+
+def _render(report: dict, fmt: str) -> str:
+    if fmt == "json":
+        return dumps(report)
+    buffer = io.StringIO()
+    (_render_csv if fmt == "csv" else _render_text)(report, buffer)
+    return buffer.getvalue()
 
 
 @functools.cache
@@ -342,7 +349,7 @@ def main(argv=None) -> int:
         return 2
     started = time.perf_counter()
     try:
-        result = _HANDLERS[args.command](args)
+        payload, code, document = _HANDLERS[args.command](args)
     except (SchemaError, OSError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -355,35 +362,22 @@ def main(argv=None) -> int:
     except (RuntimeError, ArithmeticError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    payload, code, document = result if len(result) == 3 else (*result, None)
     report = {
         "command": invocation,
         "version": __version__,
         "result": payload,
         "timing_ms": round((time.perf_counter() - started) * 1e3, 3),
     }
-
-    if args.command == "gen" and document is not None:
-        if args.out:
-            with open(args.out, "wb") as handle:
-                handle.write(document)
-            print(json.dumps(report, indent=2, sort_keys=True))
-        else:
+    if document is not None:
+        # gen: the document goes to --out and the report to stdout; without
+        # --out the document alone is the output.
+        if not args.out:
             sys.stdout.write(document.decode())
-        return code
-
-    if args.format == "csv":
-        buffer = io.StringIO()
-        _render_csv(report, buffer)
-        text = buffer.getvalue()
-    elif args.format == "text":
-        buffer = io.StringIO()
-        _render_text(report, buffer)
-        text = buffer.getvalue()
-    else:
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-
-    if args.out:
+            return code
+        with open(args.out, "wb") as handle:
+            handle.write(document)
+    text = _render(report, args.format)
+    if args.out and document is None:
         with open(args.out, "w") as handle:
             handle.write(text)
     else:

@@ -1,5 +1,9 @@
 """Seeded instance generators, load-time validation, and the file format.
 
+This module is the package's only JSON reader and writer: instance and price
+documents, demand results and auction traces all go through `dumps` and
+`_load_document`.  Documents are UTF-8, and a repeated object key is refused.
+
 Instance documents are JSON with exactly the keys m / bidders / metadata.
 Rationals are canonical "num/den" strings with bare integers as shorthand;
 decoding rejects non-canonical forms like "2/4" unless asked to normalize.
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Optional, Union
@@ -24,7 +29,10 @@ from typing import Any, Optional, Union
 from .errors import (GroundSetTooLargeError, InfeasibleGenerationError,
                      SchemaError)
 from .itemsets import ItemSet
-from .demand import PriceVector
+from .auctions import (AuctionTrace, Certify, Decision, EnvyFreeOutcome, Raise,
+                       StalledOutcome, StepLimitOutcome)
+from .demand import DemandResult, PriceVector
+from .equilibrium import Allocation
 from .rationals import format_rational, parse_rational
 from .valuations import (MAX_EXHAUSTIVE_ITEMS, Additive, BudgetAdditive,
                          Explicit, MultiPeak, SetSystem, UnitDemand, Valuation,
@@ -167,6 +175,32 @@ def gen_multipeak(m: int, s: int, k: int, eps: Fraction, n: int, seed: int,
 # File format
 # ---------------------------------------------------------------------------
 
+def dumps(doc: Any) -> str:
+    """The one JSON writer: sorted keys, two-space indent, a final newline."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    doc = dict(pairs)
+    if len(doc) != len(pairs):
+        counts = Counter(key for key, _ in pairs)
+        raise SchemaError("document: repeated key " + ", ".join(
+            repr(key) for key, n in counts.items() if n > 1))
+    return doc
+
+
+def _load_document(data: Union[bytes, str]) -> Any:
+    """The one JSON reader.  Bytes are decoded as UTF-8; anything that does
+    not read as one JSON document with unique keys is a SchemaError."""
+    try:
+        text = data.decode() if isinstance(data, bytes) else data
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except RecursionError as exc:
+        raise SchemaError("document is nested too deeply to read") from exc
+    except ValueError as exc:  # bad UTF-8, bad JSON, or an overlong integer
+        raise SchemaError(f"document is not valid JSON: {exc}") from exc
+
+
 def _subset_keys(m: int) -> list[str]:
     """keys[mask] is the canonical table key of mask, built by doubling: the
     masks with item j as their largest item repeat the smaller masks' keys
@@ -207,7 +241,7 @@ def encode_instance(instance: Instance) -> bytes:
         "bidders": [_encode_bidder(v) for v in instance.bidders],
         "metadata": instance.metadata,
     }
-    return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
+    return dumps(doc).encode()
 
 
 def _expect(condition: bool, message: str) -> None:
@@ -215,9 +249,12 @@ def _expect(condition: bool, message: str) -> None:
         raise SchemaError(message)
 
 
-def _parse_values(raw: Any, m: int, where: str, canonicalize: bool) -> tuple[Fraction, ...]:
+def _parse_values(raw: Any, m: Optional[int], where: str,
+                  canonicalize: bool) -> tuple[Fraction, ...]:
+    """Nonnegative rationals, m of them unless m is None."""
     _expect(isinstance(raw, list), f"{where}: expected a list of rationals")
-    _expect(len(raw) == m, f"{where}: expected {m} entries, got {len(raw)}")
+    _expect(m is None or len(raw) == m,
+            f"{where}: expected {m} entries, got {len(raw)}")
     out = []
     for idx, entry in enumerate(raw):
         val = parse_rational(entry, canonicalize=canonicalize,
@@ -328,12 +365,7 @@ def _decode_bidder(raw: Any, m: int, where: str, canonicalize: bool,
 def decode_instance(data: Union[bytes, str], *,
                     canonicalize_rationals: bool = False) -> Instance:
     """Parse and fully validate an instance document."""
-    if isinstance(data, bytes):
-        data = data.decode()
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"document is not valid JSON: {exc}") from exc
+    doc = _load_document(data)
     _expect(isinstance(doc, dict), "document: expected an object")
     _expect(set(doc) <= {"m", "bidders", "metadata"},
             f"document: unexpected keys {sorted(set(doc) - {'m', 'bidders', 'metadata'})}")
@@ -350,30 +382,69 @@ def decode_instance(data: Union[bytes, str], *,
     return Instance(m, bidders, metadata)
 
 
+def prices_payload(prices: PriceVector) -> list:
+    """JSON form of a price vector, one canonical rational per item."""
+    return [format_rational(p) for p in prices.prices]
+
+
+def allocation_payload(allocation: Allocation) -> list:
+    """JSON form of an allocation, one item list per bidder."""
+    return [list(bundle) for bundle in allocation.assigned]
+
+
 def dump_prices(prices: PriceVector) -> bytes:
-    doc = {"prices": [format_rational(p) for p in prices.prices]}
-    return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
+    return dumps({"prices": prices_payload(prices)}).encode()
 
 
 def load_prices(data: Union[bytes, str], num_items: Optional[int] = None, *,
                 canonicalize_rationals: bool = False) -> PriceVector:
-    if isinstance(data, bytes):
-        data = data.decode()
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"document is not valid JSON: {exc}") from exc
+    doc = _load_document(data)
     _expect(isinstance(doc, dict) and set(doc) == {"prices"},
             "document: expected exactly the key 'prices'")
-    raw = doc["prices"]
-    _expect(isinstance(raw, list), "prices: expected a list")
-    if num_items is not None:
-        _expect(len(raw) == num_items,
-                f"prices: expected {num_items} entries, got {len(raw)}")
-    out = []
-    for idx, entry in enumerate(raw):
-        val = parse_rational(entry, canonicalize=canonicalize_rationals,
-                             where=f"prices[{idx}]")
-        _expect(val >= 0, f"prices[{idx}]: prices must be nonnegative")
-        out.append(val)
-    return PriceVector(tuple(out))
+    return PriceVector(_parse_values(doc["prices"], num_items, "prices",
+                                     canonicalize_rationals))
+
+
+def demand_payload(result: DemandResult) -> dict:
+    """JSON form of a demand result, in traces and in the demand command."""
+    return {
+        "maxUtility": format_rational(result.max_utility),
+        "set": list(result.witness_set),
+        "count": result.argmax_count,
+    }
+
+
+def _action_payload(action: Decision) -> dict:
+    if isinstance(action, Raise):
+        return {"kind": "raise", "items": list(action.items),
+                "increment": format_rational(action.increment)}
+    if isinstance(action, Certify):
+        return {"kind": "certify",
+                "allocation": allocation_payload(action.allocation)}
+    return {"kind": "stall"}
+
+
+_OUTCOME_KINDS = {EnvyFreeOutcome: "envy_free", StalledOutcome: "stalled",
+                  StepLimitOutcome: "step_limit"}
+
+
+def trace_payload(trace: AuctionTrace) -> dict:
+    steps = [
+        {
+            "prices": prices_payload(step.prices),
+            "demands": [demand_payload(d) for d in step.demands],
+            "action": _action_payload(step.action),
+        }
+        for step in trace.steps
+    ]
+    end = trace.outcome
+    outcome = {"kind": _OUTCOME_KINDS[type(end)],
+               "prices": prices_payload(end.prices)}
+    if isinstance(end, EnvyFreeOutcome):
+        outcome["allocation"] = allocation_payload(end.allocation)
+    return {"steps": steps, "outcome": outcome}
+
+
+def serialize_trace(trace: AuctionTrace) -> bytes:
+    """Deterministic byte encoding of a trace, for fixtures and reports."""
+    return dumps(trace_payload(trace)).encode()

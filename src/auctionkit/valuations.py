@@ -237,21 +237,6 @@ class Explicit:
         if self.table[0] != 0:
             raise ValueError("the empty set must have value 0")
 
-    @classmethod
-    def from_dict(cls, num_items: int, values: dict) -> "Explicit":
-        """Build from {iterable-of-items: value}; missing subsets error."""
-        dense: list[Optional[Fraction]] = [None] * (1 << num_items)
-        for key, val in values.items():
-            bundle = key if isinstance(key, ItemSet) else ItemSet(key)
-            _check_bundle(bundle, num_items)
-            dense[bundle.mask] = Fraction(val)
-        missing = [m for m, v in enumerate(dense) if v is None]
-        if missing:
-            raise ValueError(
-                f"table is missing {len(missing)} subsets, "
-                f"first {ItemSet.from_mask(missing[0])!r}")
-        return cls(num_items, tuple(dense))
-
     def value(self, bundle: ItemSet) -> Fraction:
         _check_bundle(bundle, self.num_items)
         return self.table[bundle.mask]

@@ -58,6 +58,16 @@ class TestGen:
         doc = json.loads(out)
         assert doc["m"] == 3 and len(doc["bidders"]) == 2
 
+    def test_out_report_follows_format(self, capsys, tmp_path):
+        target = tmp_path / "inst.json"
+        code, out = run_cli(capsys, "gen", "additive", "--n", "2", "--m", "3",
+                            "--seed", "5", "--out", str(target),
+                            "--format", "text")
+        assert code == 0
+        assert out.startswith("command:\n  - gen\n")
+        assert "  bytes: " in out and "timing_ms: " in out
+        assert json.loads(target.read_text())["m"] == 3
+
 
 class TestDemand:
     def test_compare_matches_at_zero(self, capsys, mp1_file, zero_prices_file):
@@ -136,6 +146,24 @@ class TestValidate:
         monkeypatch.setitem(cli._HANDLERS, "validate", broken)
         assert main(["validate", mp1_file]) == 3
         assert "internal error: int too large" in capsys.readouterr().err
+
+
+class TestUnreadableDocuments:
+    """Documents the reader refuses exit 2 with a message, never 3."""
+
+    @pytest.mark.parametrize("blob, message", [
+        (b"\xff", "utf-8"),
+        (b"[" * 200000, "nested too deeply"),
+        (b'{"m": 1, "m": 2}', "repeated key 'm'"),
+    ], ids=["not-utf8", "too-deep", "repeated-key"])
+    @pytest.mark.parametrize("document", ["instance", "prices"])
+    def test_exits_2(self, capsys, mp1_file, tmp_path, document, blob, message):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(blob)
+        argv = (["validate", str(bad)] if document == "instance" else
+                ["demand", mp1_file, str(bad)])
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestEnvyFree:

@@ -1,7 +1,9 @@
 """Generators, the instance document format, and load-time validation."""
 
+import ast
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -274,6 +276,72 @@ class TestDecodeValidation:
             load_prices(json.dumps({"prices": [1, 2]}), 3)
         with pytest.raises(SchemaError, match="nonnegative"):
             load_prices(json.dumps({"prices": ["-1"]}), 1)
+
+
+class TestDocumentReader:
+    """One reader for every document: a repeated key, bytes that are not
+    UTF-8 and nesting too deep for the parser are all SchemaErrors."""
+
+    @pytest.mark.parametrize("read, doc, key", [
+        (decode_instance, '{"m": 1, "bidders": [{"type": "explicit", '
+                          '"table": {"": 0, "1": 1, "1": 5}}]}', "'1'"),
+        (decode_instance, '{"m": 1, "m": 2, "bidders": []}', "'m'"),
+        (load_prices, '{"prices": [1], "prices": [2]}', "'prices'"),
+    ], ids=["table-subset", "instance-m", "prices"])
+    def test_repeated_key_is_refused(self, read, doc, key):
+        with pytest.raises(SchemaError, match=f"repeated key {key}"):
+            read(doc)
+
+    @pytest.mark.parametrize("read", [decode_instance, load_prices])
+    def test_invalid_utf8_is_refused(self, read):
+        with pytest.raises(SchemaError, match="utf-8"):
+            read(b"\xff")
+
+    @pytest.mark.parametrize("read", [decode_instance, load_prices])
+    def test_deep_nesting_is_refused(self, read):
+        with pytest.raises(SchemaError, match="nested too deeply"):
+            read("[" * 200000)
+
+    def test_overlong_integer_is_refused(self):
+        with pytest.raises(SchemaError, match="not valid JSON"):
+            decode_instance('{"m": 1' + "0" * 5000 + ', "bidders": []}')
+
+    def test_prices_use_the_value_list_messages(self):
+        with pytest.raises(SchemaError, match=r"prices\[1\]: values must be"):
+            load_prices(json.dumps({"prices": [1, "-1"]}))
+        with pytest.raises(SchemaError, match="prices: expected a list"):
+            load_prices(json.dumps({"prices": 5}))
+        with pytest.raises(SchemaError, match="prices: expected 1 entries"):
+            load_prices(json.dumps({"prices": [1, 2]}), 1)
+
+    def test_prices_of_any_length_without_num_items(self):
+        assert load_prices('{"prices": ["1/2", 0, 3]}') == \
+            PriceVector((F(1, 2), F(0), F(3)))
+
+
+class TestOneCodec:
+    def test_only_instances_imports_json(self):
+        package = Path(auctionkit.instances.__file__).parent
+        importers = []
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                names = ([a.name for a in node.names]
+                         if isinstance(node, ast.Import) else
+                         [node.module] if isinstance(node, ast.ImportFrom)
+                         else [])
+                if any(n and n.split(".")[0] == "json" for n in names):
+                    importers.append(path.name)
+        assert sorted(set(importers)) == ["instances.py"]
+
+    def test_payloads_live_in_instances(self):
+        import auctionkit
+        import auctionkit.auctions
+
+        for name in ("demand_payload", "trace_payload", "serialize_trace",
+                     "_action_payload"):
+            assert not hasattr(auctionkit.auctions, name)
+            assert hasattr(auctionkit.instances, name)
+        assert auctionkit.serialize_trace is auctionkit.instances.serialize_trace
 
 
 class TestInstanceType:
