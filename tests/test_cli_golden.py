@@ -15,16 +15,33 @@ import json
 import os
 import re
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from auctionkit.cli import main
+from auctionkit.rationals import format_rational
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 MP1 = {"type": "multi_peak", "s": 4, "k": 2, "epsilon": "1/2",
        "peaks": [[1, 2, 3, 4], [5, 6, 7, 8]]}
+
+
+def _capped_table(weights, cap):
+    """An explicit table of min(cap, sum of the bundle's weights): monotone
+    and submodular, keyed canonically, with "num/den" entries where the
+    value is not an integer."""
+    keys = [""]
+    for j in range(1, len(weights) + 1):
+        keys += [f"{key},{j}" if key else str(j) for key in keys]
+    weights = [Fraction(w) for w in weights]
+    return {key: format_rational(min(Fraction(cap), sum(
+                (w for i, w in enumerate(weights) if mask >> i & 1),
+                Fraction(0))))
+            for mask, key in enumerate(keys)}
+
 
 INPUTS = {
     "mp1.json": {"m": 8, "bidders": [MP1, MP1], "metadata": {"name": "mp1-pair"}},
@@ -43,6 +60,11 @@ INPUTS = {
         {"type": "additive", "values": [3, 1, "5/2"]},
         {"type": "additive", "values": [2, 4, "3/2"]}],
         "metadata": {"name": "additive-2x3"}},
+    "explicit.json": {"m": 4, "bidders": [
+        {"type": "explicit", "table": _capped_table(["3/2", 2, "5/4", 1], "7/2")},
+        {"type": "explicit", "table": _capped_table([2, "3/2", 1, "1/2"], 3)},
+        {"type": "explicit", "table": _capped_table([1, "5/2", "3/2", "3/4"], 4)}],
+        "metadata": {"name": "explicit-3x4"}},
     "p0.json": {"prices": [0] * 8},
     "p532.json": {"prices": ["5/32"] * 8},
     "p2.json": {"prices": [3, 2]},
@@ -69,6 +91,8 @@ CASES = {
                        "--increment", "1/4", "--max-steps", "12"],
     "auction_greedy_limit": ["auction", "mp1.json", "--rule", "greedy",
                              "--increment", "1/8", "--max-steps", "3"],
+    "auction_greedy_explicit": ["auction", "explicit.json", "--rule", "greedy",
+                                "--increment", "1/2"],
     "auction_dgs": ["auction", "ud.json", "--rule", "dgs", "--increment", "1"],
     "auction_dgs_text": ["auction", "ud.json", "--rule", "dgs", "--increment",
                          "1/2", "--format", "text"],
