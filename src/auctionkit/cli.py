@@ -4,10 +4,11 @@ auction, bench.
 Every command prints a run report whose payload is deterministic for
 deterministic inputs; wall-clock timing lives in a separate key so reports
 can be compared ignoring it.  Exit codes: 0 success, 1 domain failure
-(a mismatching --compare, a failed --expect, a broken rule), 2 usage or
-schema errors, 3 internal error (such as the two submodularity checkers
-disagreeing, or an arithmetic error such as an overflow), which signals a
-bug in auctionkit, never a property of the input.
+(a mismatching --compare, a failed --expect, a broken rule), 2 usage,
+schema or file errors (an unreadable input, an unwritable --out), 3
+internal error (such as the two submodularity checkers disagreeing, or an
+arithmetic error such as an overflow), which signals a bug in auctionkit,
+never a property of the input.
 """
 
 from __future__ import annotations
@@ -368,19 +369,27 @@ def main(argv=None) -> int:
         "result": payload,
         "timing_ms": round((time.perf_counter() - started) * 1e3, 3),
     }
-    if document is not None:
-        # gen: the document goes to --out and the report to stdout; without
-        # --out the document alone is the output.
-        if not args.out:
-            sys.stdout.write(document.decode())
-            return code
-        with open(args.out, "wb") as handle:
-            handle.write(document)
+    if document is not None and not args.out:
+        # gen without --out: the document alone is the output.
+        sys.stdout.write(document.decode())
+        return code
     text = _render(report, args.format)
-    if args.out and document is None:
-        with open(args.out, "w") as handle:
-            handle.write(text)
-    else:
+    if not args.out:
+        sys.stdout.write(text)
+        return code
+    # gen writes its document to --out and prints the report; every other
+    # command writes its report there.
+    try:
+        if document is not None:
+            with open(args.out, "wb") as handle:
+                handle.write(document)
+        else:
+            with open(args.out, "w") as handle:
+                handle.write(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if document is not None:
         sys.stdout.write(text)
     return code
 

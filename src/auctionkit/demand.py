@@ -11,12 +11,16 @@ Four routes to a demand set coexist here:
   at exact price thresholds for the far regime plus one scan per peak,
   with the winner rescored under the true valuation.
 
+demand_oracle picks the route for one bidder; demands_at does so for every
+bidder of an auction step, and its brute-force bidders share one price table.
+
 Canonical tie-break everywhere: among utility maximizers prefer the
 smallest cardinality, then the lexicographically smallest item list.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -94,10 +98,17 @@ def utility(valuation: Valuation, prices: PriceVector, bundle: ItemSet) -> Fract
     return eval_valuation(valuation, bundle) - prices.total(bundle)
 
 
-def _utilities(valuation: Valuation, prices: PriceVector) -> tuple[np.ndarray, int]:
-    """Scaled utilities over all masks: utilities[mask] / denom."""
+def _price_table(prices: PriceVector) -> tuple[np.ndarray, int]:
+    """Scaled prices of all 2**m sets: table[mask] / denom is p(mask)."""
+    return scaled_table(prices.prices, np.add)
+
+
+def _utilities(valuation: Valuation, price_table: tuple[np.ndarray, int]
+               ) -> tuple[np.ndarray, int]:
+    """Scaled utilities over all masks: utilities[mask] / denom, from the
+    valuation's value table and a table built by _price_table."""
     vt = value_table(valuation)
-    pnums, pden = scaled_table(prices.prices, np.add)
+    pnums, pden = price_table
     denom = math.lcm(vt.denom, pden)
     a, b = denom // vt.denom, denom // pden
     pmax = int(pnums[-1]) if len(pnums) else 0
@@ -108,7 +119,12 @@ def _utilities(valuation: Valuation, prices: PriceVector) -> tuple[np.ndarray, i
     return util, denom
 
 
-def _maximizers(valuation: Valuation, prices: PriceVector
+# A zero-argument callable that returns a price table, or None.
+_TableSource = Optional[Callable[[], tuple[np.ndarray, int]]]
+
+
+def _maximizers(valuation: Valuation, prices: PriceVector,
+                price_table: _TableSource = None
                 ) -> tuple[Fraction, np.ndarray]:
     """Maximum utility and every maximizing mask, in canonical order.
 
@@ -117,13 +133,18 @@ def _maximizers(valuation: Valuation, prices: PriceVector
     the kept ones returns it without rebuilding the utility table.  One
     auction step asks each bidder twice at the same prices: the engine's
     demand query, then the rule's demand-set enumeration.
+
+    price_table, when given, supplies the table of these prices on a miss,
+    so that the queries of one step can share it; without it the query
+    builds its own.
     """
     if valuation.num_items != prices.num_items:
         raise ValueError("valuation and prices disagree on the ground set size")
     last = getattr(valuation, "_last_demand", None)
     if last is not None and last[0] == prices:
         return last[1], last[2]
-    util, denom = _utilities(valuation, prices)
+    table = price_table() if price_table is not None else _price_table(prices)
+    util, denom = _utilities(valuation, table)
     best = util.max()
     masks = np.flatnonzero(util == best)
     if len(masks) > 1:
@@ -135,12 +156,17 @@ def _maximizers(valuation: Valuation, prices: PriceVector
     return top, masks
 
 
-def brute_force_demand(valuation: Valuation, prices: PriceVector) -> DemandResult:
-    """Exhaustive reference oracle over all 2**m subsets."""
+def _exhaustive_demand(valuation: Valuation, prices: PriceVector,
+                       price_table: _TableSource) -> DemandResult:
     _guard_items(valuation.num_items, "brute-force demand")
-    top, masks = _maximizers(valuation, prices)
+    top, masks = _maximizers(valuation, prices, price_table)
     return DemandResult(top, ItemSet.from_mask(int(masks[0])),
                         argmax_count=len(masks))
+
+
+def brute_force_demand(valuation: Valuation, prices: PriceVector) -> DemandResult:
+    """Exhaustive reference oracle over all 2**m subsets."""
+    return _exhaustive_demand(valuation, prices, None)
 
 
 def demand_sets(valuation: Valuation, prices: PriceVector, cap: int) -> list[ItemSet]:
@@ -298,6 +324,23 @@ def fast_oracle(valuation: Valuation
     return None
 
 
+def demands_at(valuations, prices: PriceVector) -> tuple[DemandResult, ...]:
+    """Every bidder's demand at one price vector, in bidder order.
+
+    Each bidder goes to its class's fast oracle, or to brute force when the
+    class has none.  The brute-force bidders share one price table, built
+    for the first of them whose query is not already kept on it, and
+    dropped when the call returns.
+    """
+    price_table = functools.cache(functools.partial(_price_table, prices))
+    out = []
+    for valuation in valuations:
+        fast = fast_oracle(valuation)
+        out.append(fast(valuation, prices) if fast is not None else
+                   _exhaustive_demand(valuation, prices, price_table))
+    return tuple(out)
+
+
 def demand_oracle(valuation: Valuation, prices: PriceVector) -> DemandResult:
     """Dispatch to the best oracle available for the valuation's class."""
-    return (fast_oracle(valuation) or brute_force_demand)(valuation, prices)
+    return demands_at((valuation,), prices)[0]

@@ -417,8 +417,10 @@ def check_monotone(valuation: Valuation) -> MonotoneReport:
     best: Optional[tuple[int, int]] = None
     for bit in range(m):
         axis = m - 1 - bit
-        low = tensor.take(0, axis=axis)
-        high = tensor.take(1, axis=axis)
+        # An index list keeps the axis, so low and high stay arrays even when
+        # m = 1 and an object-dtype table would yield bare Python ints.
+        low = tensor.take([0], axis=axis)
+        high = tensor.take([1], axis=axis)
         viol = high < low
         if viol.any():
             compressed = int(np.argmax(viol.reshape(-1)))
@@ -470,9 +472,13 @@ def submodular_by_marginals(valuation: Valuation) -> bool:
     tensor = table.nums.reshape((2,) * m)
     for bit in range(m):
         axis = m - 1 - bit
-        marg = tensor.take(1, axis=axis) - tensor.take(0, axis=axis)
+        # Kept as a length-1 axis, as in check_monotone, so every slice
+        # below is an array and an object-dtype np.minimum stays exact.
+        marg = tensor.take([1], axis=axis) - tensor.take([0], axis=axis)
         mins = marg.copy()
-        for a in range(mins.ndim):
+        for a in range(m):
+            if a == axis:
+                continue
             hi = tuple(slice(None) if k != a else 1 for k in range(mins.ndim))
             lo = tuple(slice(None) if k != a else 0 for k in range(mins.ndim))
             mins[hi] = np.minimum(mins[hi], mins[lo])

@@ -166,6 +166,32 @@ class TestUnreadableDocuments:
         assert message in capsys.readouterr().err
 
 
+class TestUnwritableOut:
+    """An --out path that cannot be written is a typed refusal: exit 2 and
+    one error line, with nothing printed to stdout."""
+
+    def test_validate_report(self, capsys, mp1_file, tmp_path):
+        target = tmp_path / "missing" / "r.json"
+        assert main(["validate", mp1_file, "--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+        assert str(target) in captured.err
+        assert not target.parent.exists()
+
+    def test_gen_document(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "g.json"
+        assert main(["gen", "additive", "--n", "2", "--m", "3",
+                     "--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+        assert str(target) in captured.err
+        assert not target.parent.exists()
+
+
 class TestEnvyFree:
     def test_mp1_pair_not_envy_free(self, capsys, mp1_file, zero_prices_file):
         code, report = run_json(capsys, "envyfree", mp1_file, zero_prices_file)

@@ -10,9 +10,10 @@ from auctionkit import (Additive, BudgetAdditive, Explicit, Instance, ItemSet,
                         additive_demand, algorithm_peak, algorithm_zero,
                         brute_force_demand, budget_additive_demand,
                         check_monotone, check_submodular, demand,
-                        demand_oracle, demand_sets, encode_instance,
-                        greedy_submodular_rule, multipeak_demand,
-                        run_ascending, unit_demand_demand, utility)
+                        demand_oracle, demand_sets, demands_at,
+                        dgs_rule, encode_instance, greedy_submodular_rule,
+                        multipeak_demand, run_ascending, unit_demand_demand,
+                        utility)
 from auctionkit.errors import DemandCapExceededError, GroundSetTooLargeError
 
 from reference import naive_demand, naive_demand_sets
@@ -408,6 +409,122 @@ class TestSharedMaximizers:
                               greedy_submodular_rule(F(1, 8)), max_steps=200)
         assert len(trace.steps) >= 2
         assert len(calls) == len(trace.steps)
+
+
+def _count_price_tables(monkeypatch):
+    calls = []
+    build = demand._price_table
+
+    def counted(prices):
+        calls.append(prices)
+        return build(prices)
+
+    monkeypatch.setattr(demand, "_price_table", counted)
+    return calls
+
+
+def _any_class_valuation(rng, m):
+    """A valuation of any of the five classes on m items."""
+    kind = rng.choice(["explicit", "additive", "multipeak", "unit_demand",
+                       "budget_additive"])
+    if kind in ("explicit", "additive", "multipeak"):
+        while True:
+            v = _random_valuation(rng, m)
+            if type(v).__name__.lower() == kind:
+                return v
+    vals = tuple(F(rng.randint(0, 6), rng.choice([1, 3])) for _ in range(m))
+    if kind == "unit_demand":
+        return UnitDemand(vals)
+    return BudgetAdditive(vals, F(rng.randint(0, 12), rng.choice([1, 2])))
+
+
+def _mixed_prices(rng, m):
+    """Prices whose denominators differ from item to item."""
+    return PriceVector(tuple(F(rng.randint(0, 12), rng.choice([1, 2, 3, 5, 8]))
+                             for _ in range(m)))
+
+
+class TestDemandsAt:
+    """demands_at answers a whole step at once; each answer must be the one
+    demand_oracle gives for that bidder alone, and the exhaustive ones the
+    naive scan's."""
+
+    def test_matches_demand_oracle_and_naive(self):
+        rng = random.Random(33)
+        for _ in range(40):
+            m = rng.randint(1, 6)
+            bidders = [_any_class_valuation(rng, m)
+                       for _ in range(rng.randint(1, 4))]
+            bidders.append(rng.choice(bidders))  # one bidder listed twice
+            for _ in range(3):
+                prices = _mixed_prices(rng, m)
+                got = demands_at(bidders, prices)
+                assert len(got) == len(bidders)
+                for v, result in zip(bidders, got):
+                    # A twin built anew holds no kept query.
+                    twin = type(v)(**{f: getattr(v, f)
+                                      for f in v.__dataclass_fields__})
+                    assert demand_oracle(twin, prices) == result
+                    assert demand_oracle(v, prices) == result
+                    best, witness, count = naive_demand(v, prices)
+                    assert utility(v, prices, result.witness_set) == \
+                        result.max_utility
+                    if isinstance(v, MultiPeak):
+                        # The polynomial oracle may miss the optimum on
+                        # systems that do not validate.
+                        assert result.max_utility <= best
+                        continue
+                    assert (result.max_utility, result.witness_set) == \
+                        (best, witness)
+                    if isinstance(v, (Explicit, BudgetAdditive, Additive)):
+                        assert result.argmax_count == count
+
+    def test_no_bidders(self):
+        assert demands_at((), PriceVector.zero(3)) == ()
+
+    def test_one_price_table_per_greedy_step(self, monkeypatch):
+        rng = random.Random(34)
+        bidders = (
+            Explicit(4, (F(0),) + tuple(F(rng.randint(2, 8))
+                                        for _ in range(15))),
+            BudgetAdditive((F(3), F(5, 2), F(2), F(7, 3)), F(6)),
+            Explicit(4, (F(0),) + tuple(F(rng.randint(2, 8), 2)
+                                        for _ in range(15))),
+        )
+        tables = _count_price_tables(monkeypatch)
+        utilities = _count_utility_tables(monkeypatch)
+        trace = run_ascending(Instance(4, bidders),
+                              greedy_submodular_rule(F(1, 2)), max_steps=50)
+        assert len(trace.steps) >= 2
+        assert tables == [step.prices for step in trace.steps]
+        assert len(utilities) == len(bidders) * len(trace.steps)
+
+    def test_no_price_table_in_a_dgs_run(self, monkeypatch):
+        bidders = (UnitDemand((F(3), F(1))), UnitDemand((F(5), F(4))),
+                   UnitDemand((F(2), F(2))))
+        tables = _count_price_tables(monkeypatch)
+        trace = run_ascending(Instance(2, bidders), dgs_rule(F(1)),
+                              max_steps=50)
+        assert len(trace.steps) >= 2
+        assert tables == []
+
+    def test_refusals_come_before_any_table(self, monkeypatch):
+        tables = _count_price_tables(monkeypatch)
+        utilities = _count_utility_tables(monkeypatch)
+        v = _fresh_mp1()
+        table = Explicit(2, (F(0), F(1), F(1), F(2)))
+        for prices in (PriceVector.zero(1), PriceVector.zero(3)):
+            with pytest.raises(ValueError, match="ground set size"):
+                demands_at([table, table], prices)
+            with pytest.raises(ValueError, match="ground set size"):
+                demands_at([v], prices)
+        wide = BudgetAdditive((F(1),) * 21, F(3))
+        with pytest.raises(GroundSetTooLargeError,
+                           match="brute-force demand is limited to 20 items"):
+            demands_at([wide, wide], PriceVector.zero(21))
+        assert tables == [] and utilities == []
+        assert not hasattr(table, "_value_table")
+        assert not hasattr(wide, "_value_table")
 
 
 class TestPriceVector:

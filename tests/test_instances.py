@@ -15,6 +15,7 @@ from auctionkit import (Additive, Explicit, Instance, ItemSet, PriceVector,
                         dump_prices, encode_instance, eval_valuation,
                         gen_additive, gen_budget_additive, gen_multipeak,
                         gen_unit_demand, load_prices, validate_set_system)
+from auctionkit.rationals import parse_rational
 from auctionkit.errors import (GroundSetTooLargeError,
                                InfeasibleGenerationError, SchemaError)
 
@@ -139,6 +140,34 @@ class TestRoundTrip:
         assert decoded.bidders[0].table == tuple(table)
         assert encode_instance(decoded) == blob
 
+    @given(m=st.integers(1, 6), canonicalize=st.booleans(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_mixed_entry_forms_decode_as_parse_rational(self, m, canonicalize,
+                                                        data):
+        """Bare integers take the decoder's direct route and every other
+        entry the shared parser; each entry must read as parse_rational
+        reads it on its own."""
+        steps = data.draw(st.lists(
+            st.fractions(min_value=0, max_value=2 ** 66, max_denominator=12),
+            min_size=1 << m, max_size=1 << m))
+        raw: list = [0] * (1 << m)
+        total = F(0)
+        for mask in range(1, 1 << m):
+            total += steps[mask]  # masks ascend, so a subset precedes its sets
+            form = data.draw(st.sampled_from(["int", "text", "scaled"]))
+            if form == "int" and total.denominator == 1:
+                raw[mask] = total.numerator
+            elif form == "scaled" and canonicalize:
+                k = data.draw(st.integers(2, 5))
+                raw[mask] = f"{total.numerator * k}/{total.denominator * k}"
+            else:
+                raw[mask] = f"{total.numerator}/{total.denominator}"
+        doc = json.dumps({"m": m, "bidders": [{"type": "explicit", "table": dict(
+            zip(auctionkit.instances._subset_keys(m), raw))}]})
+        decoded = decode_instance(doc, canonicalize_rationals=canonicalize)
+        assert decoded.bidders[0].table == tuple(
+            parse_rational(entry, canonicalize=canonicalize) for entry in raw)
+
     def test_prices_round_trip(self):
         prices = PriceVector((F(1, 2), F(3), F(0)))
         assert load_prices(dump_prices(prices), 3) == prices
@@ -226,6 +255,7 @@ class TestDecodeValidation:
 
     @pytest.mark.parametrize("value, message", [
         ("-1/2", "nonnegative"),
+        (-1, "nonnegative"),
         ("2/4", "lowest terms"),
         (True, "boolean"),
         (1.0, "got float"),
@@ -240,6 +270,33 @@ class TestDecodeValidation:
         with pytest.raises(SchemaError,
                            match=r"bidders\[0\]\.table\['2'\]: .*" + message):
             decode_instance(doc)
+
+    @pytest.mark.parametrize("value, message", [
+        (-1, "values must be nonnegative"),
+        (-(2 ** 70), "values must be nonnegative"),
+        ("-1/2", "values must be nonnegative"),
+        ("2/4", "'2/4' is not in lowest terms (canonical form is '1/2')"),
+        ("x", "'x' is not an integer or num/den rational"),
+        (True, "expected a rational, got a boolean"),
+        (1.0, "expected a rational, got float"),
+        (None, "expected a rational, got NoneType"),
+    ])
+    def test_explicit_refusal_messages_exact(self, value, message):
+        doc = self._doc(bidders=[{"type": "explicit",
+                                  "table": {"": 0, "1": 1, "2": value,
+                                            "1,2": 2}}])
+        with pytest.raises(SchemaError) as info:
+            decode_instance(doc)
+        assert str(info.value) == "bidders[0].table['2']: " + message
+
+    def test_explicit_integers_past_int64_decode_exactly(self):
+        big = 2 ** 63 + 1
+        doc = self._doc(bidders=[{"type": "explicit",
+                                  "table": {"": 0, "1": big, "2": 2 ** 64,
+                                            "1,2": 3 * 2 ** 64 + 7}}])
+        table = decode_instance(doc).bidders[0].table
+        assert table == (F(0), F(big), F(2 ** 64), F(3 * 2 ** 64 + 7))
+        assert all(type(x) is F for x in table)
 
     def test_explicit_value_reduced_only_when_asked(self):
         doc = self._doc(bidders=[{"type": "explicit",

@@ -174,6 +174,29 @@ class TestValidatorsAgainstNaive:
             v = _random_explicit(rng, rng.randint(1, 4))
             assert submodular_by_marginals(v) == naive_decreasing_marginals(v)
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_tables_past_int64_match_naive(self, m):
+        """Values past int64 keep the tables in object dtype; at m <= 2 the
+        per-item slices used to collapse to bare Python ints."""
+        rng = random.Random(15 + m)
+        for _ in range(12):
+            big = 2 ** rng.randint(63, 70)
+            table = [F(rng.choice([rng.randint(0, 3), big + rng.randint(0, 3)]))
+                     for _ in range(1 << m)]
+            table[0], table[-1] = F(0), F(big + rng.randint(0, 3))
+            v = Explicit(m, tuple(table))
+            assert value_table(v).nums.dtype == object
+            report = check_monotone(v)
+            naive = naive_monotone_counterexample(v)
+            assert report.holds == (naive is None)
+            if naive is not None:
+                assert report.counterexample == naive
+            sub = check_submodular(v)
+            naive = naive_submodular_counterexample(v)
+            assert sub.holds == (naive is None)
+            assert sub.counterexample == naive
+            assert submodular_by_marginals(v) == naive_decreasing_marginals(v)
+
     def test_two_internal_forms_agree(self, mp1):
         rng = random.Random(14)
         for _ in range(60):
