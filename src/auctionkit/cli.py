@@ -374,22 +374,16 @@ def main(argv=None) -> int:
         sys.stdout.write(document.decode())
         return code
     text = _render(report, args.format)
-    if not args.out:
-        sys.stdout.write(text)
-        return code
-    # gen writes its document to --out and prints the report; every other
-    # command writes its report there.
-    try:
-        if document is not None:
-            with open(args.out, "wb") as handle:
-                handle.write(document)
-        else:
-            with open(args.out, "w") as handle:
-                handle.write(text)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if document is not None:
+    if args.out:
+        # gen writes its document to --out and prints the report; every
+        # other command writes its report there.
+        try:
+            with open(args.out, "w" if document is None else "wb") as handle:
+                handle.write(text if document is None else document)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    if not args.out or document is not None:
         sys.stdout.write(text)
     return code
 

@@ -20,7 +20,6 @@ smallest cardinality, then the lexicographically smallest item list.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -332,7 +331,14 @@ def demands_at(valuations, prices: PriceVector) -> tuple[DemandResult, ...]:
     for the first of them whose query is not already kept on it, and
     dropped when the call returns.
     """
-    price_table = functools.cache(functools.partial(_price_table, prices))
+    table = None
+
+    def price_table():
+        nonlocal table
+        if table is None:
+            table = _price_table(prices)
+        return table
+
     out = []
     for valuation in valuations:
         fast = fast_oracle(valuation)

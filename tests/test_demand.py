@@ -1,5 +1,6 @@
 """Demand oracles against the exhaustive reference and the pinned examples."""
 
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -462,8 +463,7 @@ class TestDemandsAt:
                 assert len(got) == len(bidders)
                 for v, result in zip(bidders, got):
                     # A twin built anew holds no kept query.
-                    twin = type(v)(**{f: getattr(v, f)
-                                      for f in v.__dataclass_fields__})
+                    twin = dataclasses.replace(v)
                     assert demand_oracle(twin, prices) == result
                     assert demand_oracle(v, prices) == result
                     best, witness, count = naive_demand(v, prices)

@@ -255,11 +255,11 @@ class TestDecodeValidation:
 
     @pytest.mark.parametrize("value, message", [
         ("-1/2", "nonnegative"),
-        (-1, "nonnegative"),
         ("2/4", "lowest terms"),
         (True, "boolean"),
         (1.0, "got float"),
         ([1], "got list"),
+        (-1, "nonnegative"),
     ])
     def test_explicit_values_refused_with_their_path(self, value, message):
         """Each bad value is refused at its own key, also one that equals
