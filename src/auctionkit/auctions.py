@@ -21,6 +21,7 @@ from typing import Union
 from .errors import RuleViolationError
 from .itemsets import ItemSet
 from .demand import DemandResult, PriceVector, demands_at, utility
+from .demand import demand_oracle  # noqa: F401  (re-exported)
 from .equilibrium import (Allocation, envy_free_allocation,
                           unit_demand_envy_free)
 from .valuations import Additive

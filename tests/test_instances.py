@@ -15,9 +15,9 @@ from auctionkit import (Additive, Explicit, Instance, ItemSet, PriceVector,
                         dump_prices, encode_instance, eval_valuation,
                         gen_additive, gen_budget_additive, gen_multipeak,
                         gen_unit_demand, load_prices, validate_set_system)
-from auctionkit.rationals import parse_rational
 from auctionkit.errors import (GroundSetTooLargeError,
                                InfeasibleGenerationError, SchemaError)
+from auctionkit.rationals import parse_rational
 
 
 class TestGenerators:
