@@ -11,7 +11,7 @@ Four routes to a demand set coexist here:
   at exact price thresholds for the far regime plus one scan per peak,
   with the winner rescored under the true valuation.
 
-demand_oracle picks the route for one bidder; demands_at does so for every
+demand_oracle picks the route for one bidder; demands_at asks it for every
 bidder of an auction step, and its brute-force bidders share one price table.
 
 Canonical tie-break everywhere: among utility maximizers prefer the
@@ -155,17 +155,14 @@ def _maximizers(valuation: Valuation, prices: PriceVector,
     return top, masks
 
 
-def _exhaustive_demand(valuation: Valuation, prices: PriceVector,
-                       price_table: _TableSource) -> DemandResult:
+def brute_force_demand(valuation: Valuation, prices: PriceVector,
+                       price_table: _TableSource = None) -> DemandResult:
+    """Exhaustive reference oracle over all 2**m subsets; price_table is
+    handed to _maximizers."""
     _guard_items(valuation.num_items, "brute-force demand")
     top, masks = _maximizers(valuation, prices, price_table)
     return DemandResult(top, ItemSet.from_mask(int(masks[0])),
                         argmax_count=len(masks))
-
-
-def brute_force_demand(valuation: Valuation, prices: PriceVector) -> DemandResult:
-    """Exhaustive reference oracle over all 2**m subsets."""
-    return _exhaustive_demand(valuation, prices, None)
 
 
 def demand_sets(valuation: Valuation, prices: PriceVector, cap: int) -> list[ItemSet]:
@@ -326,10 +323,9 @@ def fast_oracle(valuation: Valuation
 def demands_at(valuations, prices: PriceVector) -> tuple[DemandResult, ...]:
     """Every bidder's demand at one price vector, in bidder order.
 
-    Each bidder goes to its class's fast oracle, or to brute force when the
-    class has none.  The brute-force bidders share one price table, built
-    for the first of them whose query is not already kept on it, and
-    dropped when the call returns.
+    Each bidder is asked through demand_oracle.  The brute-force bidders
+    share one price table, built for the first of them whose query is not
+    already kept on it, and dropped when the call returns.
     """
     table = None
 
@@ -339,14 +335,17 @@ def demands_at(valuations, prices: PriceVector) -> tuple[DemandResult, ...]:
             table = _price_table(prices)
         return table
 
-    out = []
-    for valuation in valuations:
-        fast = fast_oracle(valuation)
-        out.append(fast(valuation, prices) if fast is not None else
-                   _exhaustive_demand(valuation, prices, price_table))
-    return tuple(out)
+    return tuple(demand_oracle(v, prices, price_table) for v in valuations)
 
 
-def demand_oracle(valuation: Valuation, prices: PriceVector) -> DemandResult:
-    """Dispatch to the best oracle available for the valuation's class."""
-    return demands_at((valuation,), prices)[0]
+def demand_oracle(valuation: Valuation, prices: PriceVector,
+                  price_table: _TableSource = None) -> DemandResult:
+    """Dispatch to the best oracle available for the valuation's class.
+
+    price_table, when given, goes to brute force; the fast oracles build
+    no table.
+    """
+    fast = fast_oracle(valuation)
+    if fast is not None:
+        return fast(valuation, prices)
+    return brute_force_demand(valuation, prices, price_table)

@@ -17,7 +17,7 @@ from typing import Optional, Union
 
 from .errors import GridTooLargeError
 from .itemsets import EMPTY_SET, ItemSet
-from .demand import PriceVector, demand_sets, demands_at, utility
+from .demand import PriceVector, demand_oracle, demand_sets, utility
 from .valuations import UnitDemand, _guard_items, eval_valuation
 
 DEFAULT_DEMAND_CAP = 4096
@@ -264,9 +264,8 @@ def is_walrasian(instance, prices: PriceVector, allocation: Allocation) -> bool:
     attains its maximum utility); anything else is a caller error.
     """
     _check_ground_set(instance, prices)
-    demands = demands_at(instance.bidders, prices)
     for i, v in enumerate(instance.bidders):
-        if utility(v, prices, allocation.assigned[i]) != demands[i].max_utility:
+        if utility(v, prices, allocation.assigned[i]) != demand_oracle(v, prices).max_utility:
             raise ValueError(
                 f"allocation is not envy-free at these prices (bidder {i})")
     leftover = ItemSet(range(1, instance.num_items + 1)) - allocation.allocated_items()

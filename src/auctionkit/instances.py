@@ -33,7 +33,7 @@ from .auctions import (AuctionTrace, Certify, Decision, EnvyFreeOutcome, Raise,
                        StalledOutcome, StepLimitOutcome)
 from .demand import DemandResult, PriceVector
 from .equilibrium import Allocation
-from .rationals import format_rational, parse_rational, rational_or_reason
+from .rationals import format_rational, parse_rational
 from .valuations import (MAX_EXHAUSTIVE_ITEMS, Additive, BudgetAdditive,
                          Explicit, MultiPeak, SetSystem, UnitDemand, Valuation,
                          check_monotone, validate_set_system)
@@ -291,13 +291,12 @@ def _read_table(table_raw: Any, m: int, where: str, canonicalize: bool,
                 f"1..{m} in ascending decimal, comma-separated, with no "
                 "signs, spaces or leading zeros)")
         # A bare nonnegative integer needs no parsing; any other entry goes
-        # through the shared parser, and a path is built only to refuse it.
+        # through the shared parser.
         if type(entry) is int and entry >= 0:
             dense[mask] = Fraction(entry)
             continue
-        val = rational_or_reason(entry, canonicalize)
-        if isinstance(val, str):
-            raise SchemaError(f"{where}[{key!r}]: {val}")
+        val = parse_rational(entry, canonicalize=canonicalize,
+                             where=f"{where}[{key!r}]")
         if val.numerator < 0:
             raise SchemaError(f"{where}[{key!r}]: values must be nonnegative")
         dense[mask] = val

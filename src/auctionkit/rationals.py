@@ -18,33 +18,24 @@ def parse_rational(raw: Union[int, str], *, canonicalize: bool = False,
     Non-canonical strings such as "2/4" are rejected unless ``canonicalize``
     is set, in which case they are reduced silently.
     """
-    value = rational_or_reason(raw, canonicalize)
-    if isinstance(value, str):
-        raise SchemaError(f"{where}: {value}")
-    return value
-
-
-def rational_or_reason(raw: Union[int, str],
-                       canonicalize: bool) -> Union[Fraction, str]:
-    """parse_rational's value, or the reason it refuses raw, without the
-    path prefix; callers that decode many entries build a path only for
-    an entry that is refused."""
     if isinstance(raw, bool):
-        return "expected a rational, got a boolean"
+        raise SchemaError(f"{where}: expected a rational, got a boolean")
     if isinstance(raw, int):
         return Fraction(raw)
     if isinstance(raw, str):
         match = _RATIONAL_RE.match(raw)
         if match is None:
-            return f"{raw!r} is not an integer or num/den rational"
+            raise SchemaError(f"{where}: {raw!r} is not an integer or num/den rational")
         num = int(match.group(1))
         den = int(match.group(2)) if match.group(2) else 1
         value = Fraction(num, den)
         if not canonicalize and (value.numerator != num or value.denominator != den):
-            return (f"{raw!r} is not in lowest terms "
-                    f"(canonical form is {format_rational(value)!r})")
+            raise SchemaError(
+                f"{where}: {raw!r} is not in lowest terms "
+                f"(canonical form is {format_rational(value)!r})"
+            )
         return value
-    return f"expected a rational, got {type(raw).__name__}"
+    raise SchemaError(f"{where}: expected a rational, got {type(raw).__name__}")
 
 
 def format_rational(value: Fraction) -> Union[int, str]:
