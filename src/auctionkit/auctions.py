@@ -21,9 +21,7 @@ from typing import Union
 from .errors import RuleViolationError
 from .itemsets import ItemSet
 from .demand import DemandResult, PriceVector, demands_at, utility
-# Kept importable from auctions, where the engine took it until it asked
-# demands_at; perfbench's tracer test reads it there.
-from .demand import demand_oracle  # noqa: F401
+from .demand import demand_oracle  # noqa: F401  (perfbench reads it here)
 from .equilibrium import (Allocation, envy_free_allocation,
                           unit_demand_envy_free)
 from .valuations import Additive
