@@ -12,7 +12,8 @@ Four routes to a demand set coexist here:
   with the winner rescored under the true valuation.
 
 demand_oracle picks the route for one bidder; demands_at asks it for every
-bidder of an auction step, and its brute-force bidders share one price table.
+bidder of an auction step, and its brute-force bidders share one price table
+through _shared_price_table.
 
 Canonical tie-break everywhere: among utility maximizers prefer the
 smallest cardinality, then the lexicographically smallest item list.
@@ -165,11 +166,13 @@ def brute_force_demand(valuation: Valuation, prices: PriceVector,
                         argmax_count=len(masks))
 
 
-def demand_sets(valuation: Valuation, prices: PriceVector, cap: int) -> list[ItemSet]:
-    """All utility maximizers in canonical order; errors if more than cap."""
+def demand_sets(valuation: Valuation, prices: PriceVector, cap: int,
+                price_table: _TableSource = None) -> list[ItemSet]:
+    """All utility maximizers in canonical order; errors if more than cap.
+    price_table is handed to _maximizers."""
     _guard_items(valuation.num_items, "demand-set enumeration",
                  MAX_ENUMERATION_ITEMS)
-    _, masks = _maximizers(valuation, prices)
+    _, masks = _maximizers(valuation, prices, price_table)
     if len(masks) > cap:
         raise DemandCapExceededError(len(masks), cap)
     return [ItemSet.from_mask(int(mask)) for mask in masks]
@@ -320,13 +323,10 @@ def fast_oracle(valuation: Valuation
     return None
 
 
-def demands_at(valuations, prices: PriceVector) -> tuple[DemandResult, ...]:
-    """Every bidder's demand at one price vector, in bidder order.
-
-    Each bidder is asked through demand_oracle.  The brute-force bidders
-    share one price table, built for the first of them whose query is not
-    already kept on it, and dropped when the call returns.
-    """
+def _shared_price_table(prices: PriceVector) -> _TableSource:
+    """A table source for several queries at the same prices: it builds the
+    table on its first call, for the first query that is not already kept
+    on its valuation, and hands that table to every later call."""
     table = None
 
     def price_table():
@@ -335,6 +335,16 @@ def demands_at(valuations, prices: PriceVector) -> tuple[DemandResult, ...]:
             table = _price_table(prices)
         return table
 
+    return price_table
+
+
+def demands_at(valuations, prices: PriceVector) -> tuple[DemandResult, ...]:
+    """Every bidder's demand at one price vector, in bidder order.
+
+    Each bidder is asked through demand_oracle.  The brute-force bidders
+    share one price table, dropped when the call returns.
+    """
+    price_table = _shared_price_table(prices)
     return tuple(demand_oracle(v, prices, price_table) for v in valuations)
 
 

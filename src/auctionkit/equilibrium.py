@@ -17,7 +17,8 @@ from typing import Optional, Union
 
 from .errors import GridTooLargeError
 from .itemsets import EMPTY_SET, ItemSet
-from .demand import PriceVector, demand_oracle, demand_sets, utility
+from .demand import (PriceVector, _shared_price_table, demand_sets, demands_at,
+                     utility)
 from .valuations import UnitDemand, _guard_items, eval_valuation
 
 DEFAULT_DEMAND_CAP = 4096
@@ -83,10 +84,13 @@ def envy_free_allocation(instance, prices: PriceVector,
 
     Bidders are processed by descending size of their smallest demand set
     (most constrained first), sets in canonical order, so reports are
-    deterministic.  nodes_explored counts attempted assignments.
+    deterministic.  nodes_explored counts attempted assignments.  The
+    bidders' demand-set queries share one price table.
     """
     _check_ground_set(instance, prices)
-    options = [demand_sets(v, prices, cap) for v in instance.bidders]
+    price_table = _shared_price_table(prices)
+    options = [demand_sets(v, prices, cap, price_table)
+               for v in instance.bidders]
     n = len(options)
     order = sorted(range(n), key=lambda i: (-len(options[i][0]), i))
     assigned: list[ItemSet] = [EMPTY_SET] * n
@@ -247,12 +251,15 @@ def minimal_envy_free(instance, bound: Fraction, step: Fraction) -> list[PriceVe
     # A point q <= p with q != p differs from p first in a coordinate where
     # it is smaller, so q precedes p lexicographically.  Every point below p
     # has therefore been scanned already, and checking p against the
-    # minimal points found so far decides its minimality.
+    # minimal points found so far decides its minimality.  That check comes
+    # first: a p above a found minimal point is not minimal whether or not
+    # it is envy-free, so its envy-freeness is never tested, and the result
+    # is the one the unpruned scan gives, in the same order.
     for combo in itertools.product(lattice, repeat=m):
         p = PriceVector(combo)
-        if not is_price_envy_free(instance, p):
+        if any(q.dominated_by(p) for q in minimal):
             continue
-        if not any(q.dominated_by(p) for q in minimal):
+        if is_price_envy_free(instance, p):
             minimal.append(p)
     return minimal
 
@@ -261,11 +268,13 @@ def is_walrasian(instance, prices: PriceVector, allocation: Allocation) -> bool:
     """True when every unallocated item has price zero.
 
     The allocation must be envy-free at the given prices (each bidder's set
-    attains its maximum utility); anything else is a caller error.
+    attains its maximum utility); anything else is a caller error.  Every
+    bidder's demand is asked before the first is compared.
     """
     _check_ground_set(instance, prices)
-    for i, v in enumerate(instance.bidders):
-        if utility(v, prices, allocation.assigned[i]) != demand_oracle(v, prices).max_utility:
+    demands = demands_at(instance.bidders, prices)
+    for i, (v, demand) in enumerate(zip(instance.bidders, demands)):
+        if utility(v, prices, allocation.assigned[i]) != demand.max_utility:
             raise ValueError(
                 f"allocation is not envy-free at these prices (bidder {i})")
     leftover = ItemSet(range(1, instance.num_items + 1)) - allocation.allocated_items()

@@ -7,8 +7,22 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from auctionkit import Instance, ItemSet, MultiPeak, SetSystem, UnitDemand
+from auctionkit import demand
 
 DATA_DIR = Path(__file__).parent / "data"
+
+
+def count_price_tables(monkeypatch):
+    """The prices of every demand._price_table call from here on."""
+    calls = []
+    build = demand._price_table
+
+    def counted(prices):
+        calls.append(prices)
+        return build(prices)
+
+    monkeypatch.setattr(demand, "_price_table", counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,7 @@ measured against on small ground sets.
 from fractions import Fraction
 from itertools import combinations, product
 
-from auctionkit import ItemSet, eval_valuation
+from auctionkit import ItemSet, PriceVector, eval_valuation
 
 
 def all_subsets(num_items):
@@ -126,3 +126,37 @@ def overdemand_margin(instance, prices, items):
         if all(j in items for j in wants):
             demanders += 1
     return demanders - len(items)
+
+
+def _best_assignment(values, bidders, num_items):
+    """(welfare, item per bidder, 0 for none) of the first welfare-maximizing
+    assignment of distinct items to `bidders`, by trying every one."""
+    best = None
+    for choice in product(range(num_items + 1), repeat=len(bidders)):
+        taken = [j for j in choice if j]
+        if len(taken) != len(set(taken)):
+            continue
+        welfare = sum((values[i][j - 1] for i, j in zip(bidders, choice) if j),
+                      Fraction(0))
+        if best is None or welfare > best[0]:
+            best = (welfare, choice)
+    return best
+
+
+def min_walrasian_unit_demand(instance):
+    """Minimum Walrasian prices of a unit-demand instance (Leonard 1983).
+
+    W(N) and each W(N minus i) come from exhaustive assignments.  The winner
+    i of item j pays v_ij - (W(N) - W(N minus i)); an unsold item costs 0.
+    """
+    values = [v.values for v in instance.bidders]
+    everyone = list(range(len(values)))
+    total, choice = _best_assignment(values, everyone, instance.num_items)
+    prices = [Fraction(0)] * instance.num_items
+    for i, j in zip(everyone, choice):
+        if j:
+            others = [k for k in everyone if k != i]
+            gain = total - _best_assignment(values, others,
+                                            instance.num_items)[0]
+            prices[j - 1] = values[i][j - 1] - gain
+    return PriceVector(tuple(prices))

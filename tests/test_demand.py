@@ -17,6 +17,7 @@ from auctionkit import (Additive, BudgetAdditive, Explicit, Instance, ItemSet,
                         utility)
 from auctionkit.errors import DemandCapExceededError, GroundSetTooLargeError
 
+from conftest import count_price_tables
 from reference import naive_demand, naive_demand_sets
 
 P0_8 = PriceVector.zero(8)
@@ -412,18 +413,6 @@ class TestSharedMaximizers:
         assert len(calls) == len(trace.steps)
 
 
-def _count_price_tables(monkeypatch):
-    calls = []
-    build = demand._price_table
-
-    def counted(prices):
-        calls.append(prices)
-        return build(prices)
-
-    monkeypatch.setattr(demand, "_price_table", counted)
-    return calls
-
-
 def _any_class_valuation(rng, m):
     """A valuation of any of the five classes on m items."""
     kind = rng.choice(["explicit", "additive", "multipeak", "unit_demand",
@@ -491,7 +480,7 @@ class TestDemandsAt:
             Explicit(4, (F(0),) + tuple(F(rng.randint(2, 8), 2)
                                         for _ in range(15))),
         )
-        tables = _count_price_tables(monkeypatch)
+        tables = count_price_tables(monkeypatch)
         utilities = _count_utility_tables(monkeypatch)
         trace = run_ascending(Instance(4, bidders),
                               greedy_submodular_rule(F(1, 2)), max_steps=50)
@@ -502,14 +491,14 @@ class TestDemandsAt:
     def test_no_price_table_in_a_dgs_run(self, monkeypatch):
         bidders = (UnitDemand((F(3), F(1))), UnitDemand((F(5), F(4))),
                    UnitDemand((F(2), F(2))))
-        tables = _count_price_tables(monkeypatch)
+        tables = count_price_tables(monkeypatch)
         trace = run_ascending(Instance(2, bidders), dgs_rule(F(1)),
                               max_steps=50)
         assert len(trace.steps) >= 2
         assert tables == []
 
     def test_refusals_come_before_any_table(self, monkeypatch):
-        tables = _count_price_tables(monkeypatch)
+        tables = count_price_tables(monkeypatch)
         utilities = _count_utility_tables(monkeypatch)
         v = _fresh_mp1()
         table = Explicit(2, (F(0), F(1), F(1), F(2)))

@@ -1,21 +1,28 @@
 """Envy-free search, the unit-demand matching route, witnesses, and grids."""
 
+import dataclasses
 import itertools
 import random
 import tracemalloc
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from auctionkit import (Additive, Allocation, EMPTY_SET, Explicit, Instance,
-                        ItemSet, PriceVector, UnitDemand, Witness,
-                        brute_force_demand, envy_free_allocation,
-                        gen_unit_demand, is_price_envy_free, is_walrasian,
-                        minimal_envy_free, unit_demand_envy_free, utility)
+from auctionkit import (Additive, Allocation, BudgetAdditive, EMPTY_SET,
+                        Explicit, Instance, ItemSet, PriceVector, UnitDemand,
+                        Witness, brute_force_demand, dgs_rule,
+                        envy_free_allocation, eval_valuation, gen_unit_demand,
+                        is_price_envy_free, is_walrasian, minimal_envy_free,
+                        run_ascending, unit_demand_envy_free, utility)
 from auctionkit import equilibrium
+from auctionkit.auctions import EnvyFreeOutcome
 from auctionkit.errors import GridTooLargeError, GroundSetTooLargeError
 
-from reference import naive_envy_free, overdemand_margin
+from conftest import count_price_tables
+from reference import (min_walrasian_unit_demand, naive_envy_free,
+                       overdemand_margin)
 
 
 def naive_minimal_envy_free(instance, bound, step):
@@ -33,6 +40,44 @@ def naive_minimal_envy_free(instance, bound, step):
 def _random_explicit(rng, m, top):
     return Explicit(m, (F(0),) + tuple(F(rng.randint(0, 2 * top), 2)
                                        for _ in range(2 ** m - 1)))
+
+
+HALVES = st.integers(0, 6).map(lambda k: F(k, 2))
+
+
+@st.composite
+def _grid_instances(draw):
+    """A small instance of UnitDemand, Additive, BudgetAdditive and Explicit
+    bidders with half-integer values, a step and a bound at or above the
+    largest single-item value."""
+    m = draw(st.integers(1, 3))
+    bidders = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(
+            (UnitDemand, Additive, BudgetAdditive, Explicit)))
+        if kind is Explicit:
+            rest = draw(st.lists(HALVES, min_size=2 ** m - 1,
+                                 max_size=2 ** m - 1))
+            bidders.append(Explicit(m, (F(0),) + tuple(rest)))
+            continue
+        values = tuple(draw(st.lists(HALVES, min_size=m, max_size=m)))
+        bidders.append(BudgetAdditive(values, draw(HALVES))
+                       if kind is BudgetAdditive else kind(values))
+    inst = Instance(m, tuple(bidders))
+    top = max((eval_valuation(v, ItemSet([j]))
+               for v in bidders for j in range(1, m + 1)), default=F(0))
+    step = draw(st.sampled_from((F(1), F(1, 2), F(3, 2))))
+    return inst, top + draw(st.sampled_from((F(0), F(1, 2), F(1)))), step
+
+
+def _item_seekers():
+    """Three explicit bidders on m=3; the k-th values a set at 3 when it
+    holds item k and at 0 otherwise, so ({1}, {2}, {3}) is envy-free at
+    prices below 3."""
+    return tuple(
+        Explicit(3, tuple(F(3) if mask >> k & 1 else F(0)
+                          for mask in range(8)))
+        for k in range(3))
 
 
 class TestEnvyFreeAllocation:
@@ -75,6 +120,15 @@ class TestEnvyFreeAllocation:
         report = envy_free_allocation(Instance(2, ()), PriceVector.zero(2))
         assert report.envy_free
         assert report.allocation.assigned == ()
+
+    def test_one_price_table_per_call(self, monkeypatch):
+        """The bidders' demand-set queries share one price table."""
+        tables = count_price_tables(monkeypatch)
+        prices = PriceVector((F(1), F(1, 2), F(2)))
+        report = envy_free_allocation(Instance(3, _item_seekers()), prices)
+        assert report.allocation.assigned == (ItemSet([1]), ItemSet([2]),
+                                              ItemSet([3]))
+        assert tables == [prices]
 
 
 class TestUnitDemandEnvyFree:
@@ -227,6 +281,46 @@ class TestMinimalEnvyFree:
         points = minimal_envy_free(single_item_3_5, F(6), F(1, 2))
         assert [p.prices for p in points] == [(F(3),)]
 
+    @given(_grid_instances())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_naive_reference_all_classes(self, case):
+        inst, bound, step = case
+        assert minimal_envy_free(inst, bound, step) == \
+            naive_minimal_envy_free(inst, bound, step)
+
+    def test_points_above_a_found_minimal_point_are_not_tested(
+            self, monkeypatch):
+        tested = []
+        check = equilibrium.is_price_envy_free
+
+        def spy(instance, prices):
+            tested.append(prices)
+            return check(instance, prices)
+
+        inst = gen_unit_demand(3, 4, (0, 5), seed=8)
+        monkeypatch.setattr(equilibrium, "is_price_envy_free", spy)
+        points = minimal_envy_free(inst, F(5), F(1))
+        assert points
+        for p in tested:
+            assert not any(q != p and q.dominated_by(p) for q in points)
+        assert len(tested) < 6 ** 4
+
+    def test_is_exactly_the_minimum_walrasian_prices(self):
+        """Criterion-6-size instances (integer values, step 1): the exact
+        route's vector and the DGS outcome lie in the grid result, which
+        holds that one point only."""
+        for case in range(60):
+            rng = random.Random(70_000 + case)
+            n, m = rng.randint(1, 5), rng.randint(1, 4)
+            inst = gen_unit_demand(n, m, (0, 5), seed=71_000 + case)
+            points = minimal_envy_free(inst, F(5), F(1))
+            exact = min_walrasian_unit_demand(inst)
+            outcome = run_ascending(inst, dgs_rule(F(1)), 1000).outcome
+            assert isinstance(outcome, EnvyFreeOutcome)
+            assert exact in points
+            assert outcome.prices in points
+            assert points == [exact]
+
 
 class TestIsPriceEnvyFree:
     @pytest.mark.parametrize("bidder", [UnitDemand((F(3), F(1))),
@@ -266,6 +360,16 @@ class TestIsWalrasian:
         alloc = Allocation((ItemSet([1]), EMPTY_SET))
         with pytest.raises(ValueError, match="not envy-free"):
             is_walrasian(single_item_3_5, PriceVector((F(3),)), alloc)
+
+    def test_one_price_table_per_call(self, monkeypatch):
+        prices = PriceVector((F(1), F(1, 2), F(2)))
+        report = envy_free_allocation(Instance(3, _item_seekers()), prices)
+        # Twins built anew hold no kept query, so every bidder misses.
+        fresh = Instance(3, tuple(dataclasses.replace(v)
+                                  for v in _item_seekers()))
+        tables = count_price_tables(monkeypatch)
+        assert is_walrasian(fresh, prices, report.allocation)
+        assert tables == [prices]
 
 
 class TestAllocationType:
