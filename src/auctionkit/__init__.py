@@ -37,7 +37,6 @@ from .demand import (
     budget_additive_demand,
     demand_oracle,
     demand_sets,
-    demands_at,
     multipeak_demand,
     unit_demand_demand,
     utility,

@@ -20,8 +20,7 @@ from typing import Union
 
 from .errors import RuleViolationError
 from .itemsets import ItemSet
-from .demand import DemandResult, PriceVector, demands_at, utility
-from .demand import demand_oracle  # noqa: F401  (perfbench reads it here)
+from .demand import DemandResult, PriceVector, demand_oracle, utility
 from .equilibrium import (Allocation, envy_free_allocation,
                           unit_demand_envy_free)
 from .valuations import Additive
@@ -107,7 +106,7 @@ def run_ascending(instance, rule, max_steps: int) -> AuctionTrace:
     prices = PriceVector.zero(instance.num_items)
     steps: list[AuctionStep] = []
     for _ in range(max_steps):
-        demands = demands_at(instance.bidders, prices)
+        demands = tuple(demand_oracle(v, prices) for v in instance.bidders)
         action = rule(instance, prices, demands)
         steps.append(AuctionStep(prices, demands, action))
         if isinstance(action, Certify):

@@ -11,9 +11,10 @@ Four routes to a demand set coexist here:
   at exact price thresholds for the far regime plus one scan per peak,
   with the winner rescored under the true valuation.
 
-demand_oracle picks the route for one bidder; demands_at asks it for every
-bidder of an auction step, and its brute-force bidders share one price table
-through _shared_price_table.
+demand_oracle picks the route for one bidder.  The exhaustive routes share
+one memo of the last price vector queried: its table of set prices and,
+per valuation, the maximizers found there.  A query at other prices
+replaces it, so it holds at most one auction step's work.
 
 Canonical tie-break everywhere: among utility maximizers prefer the
 smallest cardinality, then the lexicographically smallest item list.
@@ -103,12 +104,12 @@ def _price_table(prices: PriceVector) -> tuple[np.ndarray, int]:
     return scaled_table(prices.prices, np.add)
 
 
-def _utilities(valuation: Valuation, price_table: tuple[np.ndarray, int]
+def _utilities(valuation: Valuation, table: tuple[np.ndarray, int]
                ) -> tuple[np.ndarray, int]:
     """Scaled utilities over all masks: utilities[mask] / denom, from the
     valuation's value table and a table built by _price_table."""
     vt = value_table(valuation)
-    pnums, pden = price_table
+    pnums, pden = table
     denom = math.lcm(vt.denom, pden)
     a, b = denom // vt.denom, denom // pden
     pmax = int(pnums[-1]) if len(pnums) else 0
@@ -119,31 +120,34 @@ def _utilities(valuation: Valuation, price_table: tuple[np.ndarray, int]
     return util, denom
 
 
-# A zero-argument callable that returns a price table, or None.
-_TableSource = Optional[Callable[[], tuple[np.ndarray, int]]]
+# The last price vector queried, its price table, and per valuation (keyed
+# by id; the valuation is held, so the id stays its own) the valuation, its
+# maximum utility and its read-only maximizing masks.
+_memo: Optional[tuple[PriceVector, tuple[np.ndarray, int],
+                      dict[int, tuple[Valuation, Fraction, np.ndarray]]]] = None
 
 
-def _maximizers(valuation: Valuation, prices: PriceVector,
-                price_table: _TableSource = None
+def _maximizers(valuation: Valuation, prices: PriceVector
                 ) -> tuple[Fraction, np.ndarray]:
     """Maximum utility and every maximizing mask, in canonical order.
 
-    The last query is kept on the valuation, outside its dataclass fields,
-    as (prices, max utility, read-only masks); a query at prices equal to
-    the kept ones returns it without rebuilding the utility table.  One
-    auction step asks each bidder twice at the same prices: the engine's
-    demand query, then the rule's demand-set enumeration.
-
-    price_table, when given, supplies the table of these prices on a miss,
-    so that the queries of one step can share it; without it the query
-    builds its own.
+    Work is kept in the module's one memo for the last price vector
+    queried: a query at equal prices reuses its price table, and its
+    answer for the same valuation object without building a utility
+    table.  One auction step asks each bidder at one price vector twice,
+    the engine's demand query and the rule's demand-set enumeration, and
+    every brute-force bidder shares the step's price table.  A query at
+    other prices replaces the memo.
     """
+    global _memo
     if valuation.num_items != prices.num_items:
         raise ValueError("valuation and prices disagree on the ground set size")
-    last = getattr(valuation, "_last_demand", None)
-    if last is not None and last[0] == prices:
-        return last[1], last[2]
-    table = price_table() if price_table is not None else _price_table(prices)
+    if _memo is None or _memo[0] != prices:
+        _memo = (prices, _price_table(prices), {})
+    _, table, kept = _memo
+    hit = kept.get(id(valuation))
+    if hit is not None:
+        return hit[1], hit[2]
     util, denom = _utilities(valuation, table)
     best = util.max()
     masks = np.flatnonzero(util == best)
@@ -152,27 +156,24 @@ def _maximizers(valuation: Valuation, prices: PriceVector,
         masks = masks[np.lexsort((-rev, popcounts(masks)))]
     masks.flags.writeable = False
     top = Fraction(int(best), denom)
-    object.__setattr__(valuation, "_last_demand", (prices, top, masks))
+    kept[id(valuation)] = (valuation, top, masks)
     return top, masks
 
 
-def brute_force_demand(valuation: Valuation, prices: PriceVector,
-                       price_table: _TableSource = None) -> DemandResult:
-    """Exhaustive reference oracle over all 2**m subsets; price_table is
-    handed to _maximizers."""
+def brute_force_demand(valuation: Valuation, prices: PriceVector) -> DemandResult:
+    """Exhaustive reference oracle over all 2**m subsets."""
     _guard_items(valuation.num_items, "brute-force demand")
-    top, masks = _maximizers(valuation, prices, price_table)
+    top, masks = _maximizers(valuation, prices)
     return DemandResult(top, ItemSet.from_mask(int(masks[0])),
                         argmax_count=len(masks))
 
 
-def demand_sets(valuation: Valuation, prices: PriceVector, cap: int,
-                price_table: _TableSource = None) -> list[ItemSet]:
-    """All utility maximizers in canonical order; errors if more than cap.
-    price_table is handed to _maximizers."""
+def demand_sets(valuation: Valuation, prices: PriceVector,
+                cap: int) -> list[ItemSet]:
+    """All utility maximizers in canonical order; errors if more than cap."""
     _guard_items(valuation.num_items, "demand-set enumeration",
                  MAX_ENUMERATION_ITEMS)
-    _, masks = _maximizers(valuation, prices, price_table)
+    _, masks = _maximizers(valuation, prices)
     if len(masks) > cap:
         raise DemandCapExceededError(len(masks), cap)
     return [ItemSet.from_mask(int(mask)) for mask in masks]
@@ -323,39 +324,9 @@ def fast_oracle(valuation: Valuation
     return None
 
 
-def _shared_price_table(prices: PriceVector) -> _TableSource:
-    """A table source for several queries at the same prices: it builds the
-    table on its first call, for the first query that is not already kept
-    on its valuation, and hands that table to every later call."""
-    table = None
-
-    def price_table():
-        nonlocal table
-        if table is None:
-            table = _price_table(prices)
-        return table
-
-    return price_table
-
-
-def demands_at(valuations, prices: PriceVector) -> tuple[DemandResult, ...]:
-    """Every bidder's demand at one price vector, in bidder order.
-
-    Each bidder is asked through demand_oracle.  The brute-force bidders
-    share one price table, dropped when the call returns.
-    """
-    price_table = _shared_price_table(prices)
-    return tuple(demand_oracle(v, prices, price_table) for v in valuations)
-
-
-def demand_oracle(valuation: Valuation, prices: PriceVector,
-                  price_table: _TableSource = None) -> DemandResult:
-    """Dispatch to the best oracle available for the valuation's class.
-
-    price_table, when given, goes to brute force; the fast oracles build
-    no table.
-    """
+def demand_oracle(valuation: Valuation, prices: PriceVector) -> DemandResult:
+    """Dispatch to the best oracle available for the valuation's class."""
     fast = fast_oracle(valuation)
     if fast is not None:
         return fast(valuation, prices)
-    return brute_force_demand(valuation, prices, price_table)
+    return brute_force_demand(valuation, prices)

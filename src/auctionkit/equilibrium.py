@@ -17,8 +17,7 @@ from typing import Optional, Union
 
 from .errors import GridTooLargeError
 from .itemsets import EMPTY_SET, ItemSet
-from .demand import (PriceVector, _shared_price_table, demand_sets, demands_at,
-                     utility)
+from .demand import PriceVector, demand_oracle, demand_sets, utility
 from .valuations import UnitDemand, _guard_items, eval_valuation
 
 DEFAULT_DEMAND_CAP = 4096
@@ -84,13 +83,10 @@ def envy_free_allocation(instance, prices: PriceVector,
 
     Bidders are processed by descending size of their smallest demand set
     (most constrained first), sets in canonical order, so reports are
-    deterministic.  nodes_explored counts attempted assignments.  The
-    bidders' demand-set queries share one price table.
+    deterministic.  nodes_explored counts attempted assignments.
     """
     _check_ground_set(instance, prices)
-    price_table = _shared_price_table(prices)
-    options = [demand_sets(v, prices, cap, price_table)
-               for v in instance.bidders]
+    options = [demand_sets(v, prices, cap) for v in instance.bidders]
     n = len(options)
     order = sorted(range(n), key=lambda i: (-len(options[i][0]), i))
     assigned: list[ItemSet] = [EMPTY_SET] * n
@@ -268,11 +264,16 @@ def is_walrasian(instance, prices: PriceVector, allocation: Allocation) -> bool:
     """True when every unallocated item has price zero.
 
     The allocation must be envy-free at the given prices (each bidder's set
-    attains its maximum utility); anything else is a caller error.  Every
-    bidder's demand is asked before the first is compared.
+    attains its maximum utility) and hold one set per bidder; anything
+    else is a caller error.  Every bidder's demand is asked before the
+    first is compared.
     """
     _check_ground_set(instance, prices)
-    demands = demands_at(instance.bidders, prices)
+    if len(allocation.assigned) != len(instance.bidders):
+        raise ValueError(
+            f"allocation has {len(allocation.assigned)} sets for "
+            f"{len(instance.bidders)} bidders")
+    demands = [demand_oracle(v, prices) for v in instance.bidders]
     for i, (v, demand) in enumerate(zip(instance.bidders, demands)):
         if utility(v, prices, allocation.assigned[i]) != demand.max_utility:
             raise ValueError(

@@ -13,7 +13,9 @@ DATA_DIR = Path(__file__).parent / "data"
 
 
 def count_price_tables(monkeypatch):
-    """The prices of every demand._price_table call from here on."""
+    """The prices of every demand._price_table call from here on, starting
+    from an empty demand memo."""
+    monkeypatch.setattr(demand, "_memo", None)
     calls = []
     build = demand._price_table
 

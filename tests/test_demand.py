@@ -1,7 +1,9 @@
 """Demand oracles against the exhaustive reference and the pinned examples."""
 
 import dataclasses
+import gc
 import random
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -11,7 +13,7 @@ from auctionkit import (Additive, BudgetAdditive, Explicit, Instance, ItemSet,
                         additive_demand, algorithm_peak, algorithm_zero,
                         brute_force_demand, budget_additive_demand,
                         check_monotone, check_submodular, demand,
-                        demand_oracle, demand_sets, demands_at,
+                        demand_oracle, demand_sets,
                         dgs_rule, encode_instance, greedy_submodular_rule,
                         multipeak_demand, run_ascending, unit_demand_demand,
                         utility)
@@ -312,6 +314,9 @@ def _random_valuation(rng, m):
 
 
 def _count_utility_tables(monkeypatch):
+    """The valuation of every demand._utilities call from here on, starting
+    from an empty demand memo."""
+    monkeypatch.setattr(demand, "_memo", None)
     calls = []
     build = demand._utilities
 
@@ -324,39 +329,61 @@ def _count_utility_tables(monkeypatch):
 
 
 def _fresh_mp1():
-    """mp1 built anew, so that no earlier query is kept on it."""
+    """mp1 built anew, so that no earlier query's work is kept for it."""
     return MultiPeak(SetSystem((ItemSet([1, 2, 3, 4]), ItemSet([5, 6, 7, 8])),
                                4, F(1, 2)), 8)
 
 
 class TestSharedMaximizers:
-    """brute_force_demand and demand_sets share the last query kept on the
-    valuation; every answer must still equal the naive reference."""
+    """brute_force_demand and demand_sets share the memo of the last price
+    vector queried; every answer must still equal the naive reference."""
 
     def test_interleaved_queries_match_naive(self):
         rng = random.Random(29)
         for trial in range(40):
             m = rng.randint(1, 6)
             v = _random_valuation(rng, m)
+            w = _random_valuation(rng, m)
             p1 = _random_prices(rng, m, top=4)
             p2 = _random_prices(rng, m, top=4)
             fresh = PriceVector(tuple(F(x.numerator, x.denominator)
                                       for x in p1.prices))
             assert fresh == p1 and fresh is not p1
-            for step, prices in enumerate((p1, p2, p1, fresh)):
-                best, witness, count = naive_demand(v, prices)
-                sets = naive_demand_sets(v, prices)
+            # w's query at p2 evicts v's at p1; back at p1, v is asked
+            # anew, then w shares v's price table, and v's query at the
+            # equal fresh vector finds its own kept answer.
+            queries = ((v, p1), (w, p2), (v, p1), (w, p1), (v, fresh),
+                       (w, p2))
+            for step, (val, prices) in enumerate(queries):
+                best, witness, count = naive_demand(val, prices)
+                sets = naive_demand_sets(val, prices)
                 # Alternate which route asks first, so each one meets the
                 # other's kept query.
                 if (trial + step) % 2:
-                    got = brute_force_demand(v, prices)
-                    got_sets = demand_sets(v, prices, cap=1 << m)
+                    got = brute_force_demand(val, prices)
+                    got_sets = demand_sets(val, prices, cap=1 << m)
                 else:
-                    got_sets = demand_sets(v, prices, cap=1 << m)
-                    got = brute_force_demand(v, prices)
+                    got_sets = demand_sets(val, prices, cap=1 << m)
+                    got = brute_force_demand(val, prices)
                 assert (got.max_utility, got.witness_set, got.argmax_count) == \
                     (best, witness, count)
                 assert got_sets == sets
+
+    def test_memo_holds_at_most_one_step(self):
+        """The memo keeps the valuations queried at the last prices alive,
+        and lets them go once a query at other prices replaces it."""
+        v = Explicit(2, (F(0), F(1), F(2), F(2)))
+        w = Explicit(2, (F(0), F(2), F(1), F(3)))
+        p1, p2 = PriceVector((F(1), F(1))), PriceVector((F(1, 2), F(1)))
+        ref = weakref.ref(v)
+        brute_force_demand(v, p1)
+        brute_force_demand(w, p1)
+        del v
+        gc.collect()
+        assert ref() is not None
+        brute_force_demand(w, p2)
+        gc.collect()
+        assert ref() is None
 
     def test_kept_query_is_invisible(self):
         rng = random.Random(30)
@@ -435,9 +462,10 @@ def _mixed_prices(rng, m):
 
 
 class TestDemandsAt:
-    """demands_at answers a whole step at once; each answer must be the one
-    demand_oracle gives for that bidder alone, and the exhaustive ones the
-    naive scan's."""
+    """Demands at one price vector, asked as an auction step asks them:
+    every bidder through demand_oracle in turn.  Each answer must be the one
+    a twin with no kept work gets, and the exhaustive ones the naive
+    scan's."""
 
     def test_matches_demand_oracle_and_naive(self):
         rng = random.Random(33)
@@ -448,10 +476,9 @@ class TestDemandsAt:
             bidders.append(rng.choice(bidders))  # one bidder listed twice
             for _ in range(3):
                 prices = _mixed_prices(rng, m)
-                got = demands_at(bidders, prices)
-                assert len(got) == len(bidders)
+                got = [demand_oracle(v, prices) for v in bidders]
                 for v, result in zip(bidders, got):
-                    # A twin built anew holds no kept query.
+                    # A twin built anew has no kept answer of its own.
                     twin = dataclasses.replace(v)
                     assert demand_oracle(twin, prices) == result
                     assert demand_oracle(v, prices) == result
@@ -467,9 +494,6 @@ class TestDemandsAt:
                         (best, witness)
                     if isinstance(v, (Explicit, BudgetAdditive, Additive)):
                         assert result.argmax_count == count
-
-    def test_no_bidders(self):
-        assert demands_at((), PriceVector.zero(3)) == ()
 
     def test_one_price_table_per_greedy_step(self, monkeypatch):
         rng = random.Random(34)
@@ -504,13 +528,13 @@ class TestDemandsAt:
         table = Explicit(2, (F(0), F(1), F(1), F(2)))
         for prices in (PriceVector.zero(1), PriceVector.zero(3)):
             with pytest.raises(ValueError, match="ground set size"):
-                demands_at([table, table], prices)
+                demand_oracle(table, prices)
             with pytest.raises(ValueError, match="ground set size"):
-                demands_at([v], prices)
+                demand_oracle(v, prices)
         wide = BudgetAdditive((F(1),) * 21, F(3))
         with pytest.raises(GroundSetTooLargeError,
                            match="brute-force demand is limited to 20 items"):
-            demands_at([wide, wide], PriceVector.zero(21))
+            demand_oracle(wide, PriceVector.zero(21))
         assert tables == [] and utilities == []
         assert not hasattr(table, "_value_table")
         assert not hasattr(wide, "_value_table")

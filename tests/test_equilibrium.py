@@ -362,14 +362,34 @@ class TestIsWalrasian:
             is_walrasian(single_item_3_5, PriceVector((F(3),)), alloc)
 
     def test_one_price_table_per_call(self, monkeypatch):
+        tables = count_price_tables(monkeypatch)
         prices = PriceVector((F(1), F(1, 2), F(2)))
         report = envy_free_allocation(Instance(3, _item_seekers()), prices)
-        # Twins built anew hold no kept query, so every bidder misses.
+        # Twins built anew have no kept answers, so every bidder builds a
+        # utility table, but at the same prices they share the kept price
+        # table; from an empty memo they build exactly one.
         fresh = Instance(3, tuple(dataclasses.replace(v)
                                   for v in _item_seekers()))
+        assert is_walrasian(fresh, prices, report.allocation)
+        assert tables == [prices]
         tables = count_price_tables(monkeypatch)
         assert is_walrasian(fresh, prices, report.allocation)
         assert tables == [prices]
+
+    @pytest.mark.parametrize("assigned", [
+        (ItemSet([1]),),
+        (EMPTY_SET, ItemSet([1]), EMPTY_SET),
+    ], ids=["shorter", "longer"])
+    def test_allocation_arity_refused(self, single_item_3_5, assigned,
+                                      monkeypatch):
+        """One set per bidder is checked before any demand query."""
+        asked = []
+        monkeypatch.setattr(equilibrium, "demand_oracle",
+                            lambda *args: asked.append(args))
+        with pytest.raises(ValueError, match="sets for 2 bidders"):
+            is_walrasian(single_item_3_5, PriceVector((F(3),)),
+                         Allocation(assigned))
+        assert asked == []
 
 
 class TestAllocationType:
