@@ -24,7 +24,8 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Optional, Union
+from json.encoder import encode_basestring_ascii as _encode_str
+from typing import Any, NoReturn, Optional, Union
 
 from .errors import (GroundSetTooLargeError, InfeasibleGenerationError,
                      SchemaError)
@@ -175,9 +176,127 @@ def gen_multipeak(m: int, s: int, k: int, eps: Fraction, n: int, seed: int,
 # File format
 # ---------------------------------------------------------------------------
 
+_INFINITY = float("inf")
+
+
+def _float_text(x: float) -> str:
+    """A float as json spells it, NaN and the infinities included."""
+    if x != x:
+        return "NaN"
+    if x == _INFINITY:
+        return "Infinity"
+    if x == -_INFINITY:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key_text(key: Any) -> str:
+    """An object key as json converts it; other key types are refused."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
+def _write(value: Any, out: list[str], newline: str) -> None:
+    """Append the JSON text of value to out.  newline is a line break plus
+    the indent of the line value starts on; members go one indent deeper.
+
+    Exact str, int, list, tuple and dict come first; everything else
+    follows json's order, so None and the booleans precede int, and
+    subclasses are written as their base type.  A container's str and int
+    members are written inline, and every container member is written by
+    one recursive call, so nesting costs one frame per level."""
+    kind = type(value)
+    if kind is str:
+        out.append(_encode_str(value))
+        return
+    if kind is dict or kind is list or kind is tuple:
+        pass
+    elif kind is int:
+        out.append(int.__repr__(value))
+        return
+    elif isinstance(value, str):
+        out.append(_encode_str(value))
+        return
+    elif value is None:
+        out.append("null")
+        return
+    elif value is True:
+        out.append("true")
+        return
+    elif value is False:
+        out.append("false")
+        return
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+        return
+    elif isinstance(value, float):
+        out.append(_float_text(value))
+        return
+    elif not isinstance(value, (list, tuple, dict)):
+        raise TypeError(f"Object of type {value.__class__.__name__} "
+                        f"is not JSON serializable")
+    is_object = isinstance(value, dict)
+    if not value:
+        out.append("{}" if is_object else "[]")
+        return
+    inner = newline + "  "
+    separator = "," + inner
+    first = len(out)
+    if is_object:
+        for key, member in sorted(value.items()):
+            if type(key) is not str:
+                key = _key_text(key)
+            out.append(separator + _encode_str(key) + ": ")
+            kind = type(member)
+            if kind is int:
+                out.append(int.__repr__(member))
+            elif kind is str:
+                out.append(_encode_str(member))
+            else:
+                _write(member, out, inner)
+        opening, closing = "{", "}"
+    else:
+        for member in value:
+            out.append(separator)
+            kind = type(member)
+            if kind is int:
+                out.append(int.__repr__(member))
+            elif kind is str:
+                out.append(_encode_str(member))
+            else:
+                _write(member, out, inner)
+        opening, closing = "[", "]"
+    # Every member was written after the separator; the first one's comma
+    # becomes the opening bracket.
+    out[first] = opening + out[first][1:]
+    out.append(newline + closing)
+
+
 def dumps(doc: Any) -> str:
-    """The one JSON writer: sorted keys, two-space indent, a final newline."""
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """The one JSON writer: sorted keys, two-space indent, a final newline.
+
+    The text equals ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``
+    byte for byte, and what json refuses to write is a TypeError here too;
+    the tests hold dumps to that reference.  The text is built in one pass
+    into one list, because with an indent json runs its pure-Python
+    encoder.  A document that contains itself ends in RecursionError, where
+    json raises ValueError."""
+    out: list[str] = []
+    _write(doc, out, "\n")
+    out.append("\n")
+    return "".join(out)
 
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
@@ -189,15 +308,31 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
     return doc
 
 
+def _refuse_constant(name: str) -> NoReturn:
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if value in (_INFINITY, -_INFINITY):
+        raise ValueError(f"{text} is too large for a float")
+    return value
+
+
 def _load_document(data: Union[bytes, str]) -> Any:
     """The one JSON reader.  Bytes are decoded as UTF-8; anything that does
-    not read as one JSON document with unique keys is a SchemaError."""
+    not read as one JSON document with unique keys is a SchemaError.  So
+    are NaN, Infinity and -Infinity, which json reads but JSON lacks, and a
+    number too large for a float, which json reads as inf: `dumps` would
+    echo either back as text a strict parser refuses."""
     try:
         text = data.decode() if isinstance(data, bytes) else data
-        return json.loads(text, object_pairs_hook=_unique_keys)
+        return json.loads(text, object_pairs_hook=_unique_keys,
+                          parse_constant=_refuse_constant,
+                          parse_float=_finite_float)
     except RecursionError as exc:
         raise SchemaError("document is nested too deeply to read") from exc
-    except ValueError as exc:  # bad UTF-8, bad JSON, or an overlong integer
+    except ValueError as exc:  # bad UTF-8 or JSON, an overlong number, NaN
         raise SchemaError(f"document is not valid JSON: {exc}") from exc
 
 
@@ -247,6 +382,11 @@ def encode_instance(instance: Instance) -> bytes:
 def _expect(condition: bool, message: str) -> None:
     if not condition:
         raise SchemaError(message)
+
+
+def _is_positive_int(raw: Any) -> bool:
+    """A count read from a document: an integer >= 1, never a boolean."""
+    return type(raw) is int and raw >= 1
 
 
 def _parse_values(raw: Any, m: Optional[int], where: str,
@@ -329,8 +469,8 @@ def _decode_bidder(raw: Any, m: int, where: str, canonicalize: bool,
             _expect(set(raw) == {"type", "s", "k", "epsilon", "peaks"},
                     f"{where}: unexpected keys")
             s, k = raw["s"], raw["k"]
-            _expect(isinstance(s, int) and s >= 1, f"{where}.s: positive int required")
-            _expect(isinstance(k, int) and k >= 1, f"{where}.k: positive int required")
+            _expect(_is_positive_int(s), f"{where}.s: positive int required")
+            _expect(_is_positive_int(k), f"{where}.k: positive int required")
             eps = parse_rational(raw["epsilon"], canonicalize=canonicalize,
                                  where=f"{where}.epsilon")
             _expect(0 < eps < 1, f"{where}.epsilon: must lie strictly in (0, 1)")
@@ -376,7 +516,7 @@ def decode_instance(data: Union[bytes, str], *,
             f"document: unexpected keys {sorted(set(doc) - {'m', 'bidders', 'metadata'})}")
     _expect("m" in doc and "bidders" in doc, "document: keys m and bidders are required")
     m = doc["m"]
-    _expect(isinstance(m, int) and m >= 1, "m: expected a positive integer")
+    _expect(_is_positive_int(m), "m: expected a positive integer")
     _expect(isinstance(doc["bidders"], list), "bidders: expected a list")
     index: dict[str, int] = {}
     bidders = tuple(

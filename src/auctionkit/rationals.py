@@ -8,7 +8,9 @@ from typing import Union
 
 from .errors import SchemaError
 
-_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
+# ASCII digits only, and fullmatch: "\d" also takes other scripts' digits,
+# and "$" also matches before a final newline.
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
 
 
 def parse_rational(raw: Union[int, str], *, canonicalize: bool = False,
@@ -23,7 +25,7 @@ def parse_rational(raw: Union[int, str], *, canonicalize: bool = False,
     if isinstance(raw, int):
         return Fraction(raw)
     if isinstance(raw, str):
-        match = _RATIONAL_RE.match(raw)
+        match = _RATIONAL_RE.fullmatch(raw)
         if match is None:
             raise SchemaError(f"{where}: {raw!r} is not an integer or num/den rational")
         num = int(match.group(1))

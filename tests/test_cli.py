@@ -155,7 +155,15 @@ class TestUnreadableDocuments:
         (b"\xff", "utf-8"),
         (b"[" * 200000, "nested too deeply"),
         (b'{"m": 1, "m": 2}', "repeated key 'm'"),
-    ], ids=["not-utf8", "too-deep", "repeated-key"])
+        (b'{"m": 1, "bidders": [], "metadata": {"x": NaN}}', "not valid JSON"),
+        (b'{"m": 1, "bidders": [], "metadata": {"x": Infinity}}',
+         "not valid JSON"),
+        (b'{"m": 1, "bidders": [], "metadata": {"x": -Infinity}}',
+         "not valid JSON"),
+        (b'{"m": 1, "bidders": [], "metadata": {"x": 1e400}}',
+         "not valid JSON"),
+    ], ids=["not-utf8", "too-deep", "repeated-key", "nan", "infinity",
+            "minus-infinity", "float-overflow"])
     @pytest.mark.parametrize("document", ["instance", "prices"])
     def test_exits_2(self, capsys, mp1_file, tmp_path, document, blob, message):
         bad = tmp_path / "bad.json"

@@ -1,6 +1,8 @@
 """Generators, the instance document format, and load-time validation."""
 
 import ast
+import collections
+import enum
 import json
 from fractions import Fraction as F
 from pathlib import Path
@@ -17,6 +19,7 @@ from auctionkit import (Additive, Explicit, Instance, ItemSet, PriceVector,
                         gen_unit_demand, load_prices, validate_set_system)
 from auctionkit.errors import (GroundSetTooLargeError,
                                InfeasibleGenerationError, SchemaError)
+from auctionkit.instances import dumps
 from auctionkit.rationals import parse_rational
 
 
@@ -280,6 +283,10 @@ class TestDecodeValidation:
         (True, "expected a rational, got a boolean"),
         (1.0, "expected a rational, got float"),
         (None, "expected a rational, got NoneType"),
+        ("\u0661", "'\u0661' is not an integer or num/den rational"),
+        ("\u0663/2", "'\u0663/2' is not an integer or num/den rational"),
+        ("1\n", "'1\\n' is not an integer or num/den rational"),
+        ("1/2\n", "'1/2\\n' is not an integer or num/den rational"),
     ])
     def test_explicit_refusal_messages_exact(self, value, message):
         doc = self._doc(bidders=[{"type": "explicit",
@@ -288,6 +295,35 @@ class TestDecodeValidation:
         with pytest.raises(SchemaError) as info:
             decode_instance(doc)
         assert str(info.value) == "bidders[0].table['2']: " + message
+
+    @pytest.mark.parametrize("canonicalize", [False, True])
+    @pytest.mark.parametrize("value", ["\u0661", "\u0663/2", "1\n", "1/2\n",
+                                       "\u0663\n"])
+    def test_only_ascii_digits_without_a_line_break(self, value,
+                                                     canonicalize):
+        """Other scripts' digits and a trailing newline are refused in both
+        modes, in a document and by the parser alone."""
+        doc = self._doc(bidders=[{"type": "additive", "values": [1, value]}])
+        with pytest.raises(SchemaError, match="not an integer or num/den"):
+            decode_instance(doc, canonicalize_rationals=canonicalize)
+        with pytest.raises(SchemaError, match="not an integer or num/den"):
+            parse_rational(value, canonicalize=canonicalize)
+
+    def test_m_is_not_a_boolean(self):
+        with pytest.raises(SchemaError) as info:
+            decode_instance(self._doc(m=True, bidders=[]))
+        assert str(info.value) == "m: expected a positive integer"
+
+    @pytest.mark.parametrize("key", ["s", "k"])
+    def test_peak_counts_are_not_booleans(self, key):
+        bidder = {"type": "multi_peak", "s": 1, "k": 1, "epsilon": "1/2",
+                  "peaks": [[1]]}
+        decode_instance(self._doc(m=1, bidders=[bidder]))
+        bidder[key] = True
+        with pytest.raises(SchemaError) as info:
+            decode_instance(self._doc(m=1, bidders=[bidder]))
+        assert str(info.value) == \
+            f"bidders[0].{key}: positive int required"
 
     def test_explicit_integers_past_int64_decode_exactly(self):
         big = 2 ** 63 + 1
@@ -363,6 +399,21 @@ class TestDocumentReader:
         with pytest.raises(SchemaError, match="not valid JSON"):
             decode_instance('{"m": 1' + "0" * 5000 + ', "bidders": []}')
 
+    @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity",
+                                        "1e400", "-1e400"])
+    def test_numbers_outside_json_are_refused(self, number):
+        """json reads these as floats, and dumps would write them back as
+        text that is not JSON."""
+        doc = '{"m": 1, "bidders": [], "metadata": {"x": %s}}' % number
+        with pytest.raises(SchemaError, match="not valid JSON"):
+            decode_instance(doc)
+        with pytest.raises(SchemaError, match="not valid JSON"):
+            load_prices('{"prices": [%s]}' % number)
+
+    def test_finite_floats_still_read(self):
+        doc = '{"m": 1, "bidders": [], "metadata": {"x": 1.5, "y": -0.0}}'
+        assert decode_instance(doc).metadata == {"x": 1.5, "y": -0.0}
+
     def test_prices_use_the_value_list_messages(self):
         with pytest.raises(SchemaError, match=r"prices\[1\]: values must be"):
             load_prices(json.dumps({"prices": [1, "-1"]}))
@@ -399,6 +450,126 @@ class TestOneCodec:
             assert not hasattr(auctionkit.auctions, name)
             assert hasattr(auctionkit.instances, name)
         assert auctionkit.serialize_trace is auctionkit.instances.serialize_trace
+
+
+def _json_dumps(doc) -> str:
+    """The reference route for dumps: json's own encoder."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _outcome(write, doc):
+    """What write makes of doc: its text, or the type and text of its error."""
+    try:
+        return write(doc)
+    except (TypeError, RecursionError) as exc:
+        return type(exc), str(exc)
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 20
+
+
+class _Ratio(float):
+    pass
+
+
+class _Name(str):
+    pass
+
+
+class _Mapping(dict):
+    pass
+
+
+class _Items(list):
+    pass
+
+
+_TEXT = st.text(st.characters(exclude_categories=())) | st.sampled_from(
+    ["", "\x00\x1f\x7f", "\n\t\"\\/", "\u00e9\u0661", "\U0001f600", "\ud800"])
+_JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(), st.integers(-(2 ** 80), 2 ** 80),
+    st.sampled_from([2 ** 63, -(2 ** 63) - 1, 2 ** 64, -(2 ** 64)]),
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0]),
+    _TEXT)
+_JSON_DOCS = st.recursive(
+    _JSON_LEAVES,
+    lambda members: (st.lists(members) | st.lists(members).map(tuple)
+                     | st.dictionaries(_TEXT, members)),
+    max_leaves=40)
+
+
+class TestWriter:
+    """dumps writes what json.dumps(sort_keys=True, indent=2) writes, plus a
+    final newline, and refuses what json cannot write with the same
+    TypeError."""
+
+    @given(_JSON_DOCS)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_json_on_documents(self, doc):
+        assert dumps(doc) == _json_dumps(doc)
+
+    @pytest.mark.parametrize("doc", [
+        {2: "a", 10: "b"},
+        {1.5: 0, -0.0: 1, float("inf"): 2, float("-inf"): 3},
+        {float("nan"): 0},
+        {True: 0, False: 1},
+        {False: 0, 2: 1, 1.5: 2},
+        {None: 0},
+        {_Level.HIGH: 0, _Level.LOW: 1},
+        {_Name("b"): 0, "a": 1},
+        [_Level.LOW, _Level.HIGH, {"level": _Level.HIGH}],
+        [_Ratio(0.5), _Ratio("nan"), _Ratio("inf"), _Name("x\u00e9")],
+        _Mapping(b=[1], a=_Mapping()),
+        collections.OrderedDict([("z", 1), ("a", (2, 3))]),
+        _Items([1, _Items(), ()]),
+        _Level.LOW, _Ratio(-0.0), _Name(""), "", 0, None, True, [], {}, (),
+    ], ids=["int-keys", "float-keys", "nan-key", "bool-keys",
+            "mixed-number-keys", "none-key", "intenum-keys", "str-subclass-key",
+            "intenum-values", "float-and-str-subclasses", "dict-subclass",
+            "ordered-dict", "list-subclass", "top-intenum", "top-float-subclass",
+            "top-str-subclass", "top-str", "top-int", "top-none", "top-bool",
+            "top-list", "top-dict", "top-tuple"])
+    def test_keys_and_subclasses(self, doc):
+        assert dumps(doc) == _json_dumps(doc)
+
+    @pytest.mark.parametrize("doc", [
+        set(), {"a": {1, 2}}, [b"x"], object(), {"a": [object()]},
+        {1: 0, "a": 0}, {None: 0, "a": 0}, {(1, 2): 0}, {b"k": 0},
+    ], ids=["set", "set-member", "bytes", "object", "object-member",
+            "int-and-str-keys", "none-and-str-keys", "tuple-key", "bytes-key"])
+    def test_refusals_match(self, doc):
+        with pytest.raises(TypeError):
+            dumps(doc)
+        assert _outcome(dumps, doc) == _outcome(_json_dumps, doc)
+
+    def test_a_document_that_contains_itself_is_refused(self):
+        loop: list = [1]
+        loop.append({"back": loop})
+        with pytest.raises(RecursionError):
+            dumps(loop)
+
+    def test_writes_every_depth_json_writes(self):
+        """Each nesting level costs dumps at most the stack json's encoder
+        uses, so dumps writes the deepest list json can write here."""
+        def nested(depth):
+            doc: list = []
+            for _ in range(depth):
+                doc = [doc]
+            return doc
+
+        lo, hi = 1, 5_000
+        while lo < hi:  # the deepest nesting json writes at this stack
+            mid = (lo + hi + 1) // 2
+            if isinstance(_outcome(_json_dumps, nested(mid)), str):
+                lo = mid
+            else:
+                hi = mid - 1
+        assert dumps(nested(lo)) == _json_dumps(nested(lo))
+        assert _outcome(dumps, nested(20_000))[0] is RecursionError
 
 
 class TestInstanceType:
