@@ -23,8 +23,10 @@ smallest cardinality, then the lexicographically smallest item list.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -33,30 +35,70 @@ from .errors import DemandCapExceededError
 from .itemsets import (EMPTY_SET, ItemSet, bit_reversals, canonical_key,
                        popcounts)
 from .valuations import (Additive, BudgetAdditive, MultiPeak, UnitDemand,
-                         Valuation, _fraction_tuple, _guard_items,
+                         Valuation, _guard_items,
                          close_region_value, eval_valuation, int_dtype,
-                         scaled_table, value_table)
+                         int_table, value_table)
 
 MAX_ENUMERATION_ITEMS = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class PriceVector:
-    """Per-item nonnegative prices; the price of a set is the sum over it."""
+    """Per-item nonnegative prices; the price of a set is the sum over it.
 
-    prices: tuple[Fraction, ...]
+    Price j is nums[j - 1] / denom, in canonical form: gcd(denom, *nums) is
+    1, so denom is the LCM of the prices' reduced denominators, and equality
+    and hashing can take the pair.  `prices`, the same values as Fractions,
+    is built on first read unless the constructor was given them.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "prices",
-                           _fraction_tuple(self.prices, what="prices"))
+    nums: tuple[int, ...]
+    denom: int
+
+    def __init__(self, prices):
+        prices = tuple([p if type(p) is Fraction else Fraction(p)
+                        for p in prices])
+        ratios = [p.as_integer_ratio() for p in prices]
+        denom = math.lcm(*[d for _, d in ratios])
+        nums = tuple([n * (denom // d) for n, d in ratios])
+        if min(nums, default=0) < 0:
+            raise ValueError("prices must be nonnegative")
+        # Frozen: the fields are set in the instance dict directly.
+        self.__dict__.update(nums=nums, denom=denom, prices=prices)
+
+    @classmethod
+    def from_scaled(cls, nums: tuple[int, ...], denom: int,
+                    prices: Optional[tuple[Fraction, ...]] = None
+                    ) -> "PriceVector":
+        """The vector of nums[j] / denom, reduced to canonical form.  prices,
+        when given, must hold the same values as Fractions and becomes the
+        vector's `prices`."""
+        if min(nums, default=0) < 0:
+            raise ValueError("prices must be nonnegative")
+        common = math.gcd(denom, *nums)
+        if common > 1:
+            nums, denom = tuple(n // common for n in nums), denom // common
+        vector = object.__new__(cls)
+        vector.__dict__.update(nums=nums, denom=denom)
+        if prices is not None:
+            vector.__dict__["prices"] = prices
+        return vector
 
     @classmethod
     def zero(cls, num_items: int) -> "PriceVector":
-        return cls((Fraction(0),) * num_items)
+        return cls.from_scaled((0,) * num_items, 1)
+
+    @cached_property
+    def prices(self) -> tuple[Fraction, ...]:
+        denom = self.denom
+        return tuple(Fraction(n, denom) for n in self.nums)
+
+    def __repr__(self) -> str:
+        return f"PriceVector(prices={self.prices!r})"
 
     @property
     def num_items(self) -> int:
-        return len(self.prices)
+        return len(self.nums)
 
     def price_of(self, item: int) -> Fraction:
         return self.prices[item - 1]
@@ -66,13 +108,18 @@ class PriceVector:
             raise ValueError(
                 f"item {bundle.max_item()} has no price (ground set has "
                 f"{self.num_items} items)")
-        return sum((self.prices[j - 1] for j in bundle), Fraction(0))
+        nums = self.nums
+        return Fraction(sum(nums[j - 1] for j in bundle), self.denom)
 
     def dominated_by(self, other: "PriceVector") -> bool:
         """Componentwise <=, the domination order on price vectors."""
         if self.num_items != other.num_items:
             raise ValueError("price vectors must have equal length")
-        return all(a <= b for a, b in zip(self.prices, other.prices))
+        if self.denom == other.denom:
+            return all(map(operator.le, self.nums, other.nums))
+        mine, theirs = other.denom, self.denom
+        return all(a * mine <= b * theirs
+                   for a, b in zip(self.nums, other.nums))
 
     __le__ = dominated_by
 
@@ -80,9 +127,13 @@ class PriceVector:
         increment = Fraction(increment)
         if items.max_item() > self.num_items:
             raise ValueError("cannot raise an item outside the ground set")
-        return PriceVector(tuple(
-            p + increment if (j + 1) in items else p
-            for j, p in enumerate(self.prices)))
+        denom = math.lcm(self.denom, increment.denominator)
+        scale = denom // self.denom
+        step = increment.numerator * (denom // increment.denominator)
+        mask = items.mask
+        return PriceVector.from_scaled(tuple(
+            n * scale + step if mask >> j & 1 else n * scale
+            for j, n in enumerate(self.nums)), denom)
 
 
 @dataclass(frozen=True)
@@ -101,7 +152,7 @@ def utility(valuation: Valuation, prices: PriceVector, bundle: ItemSet) -> Fract
 
 def _price_table(prices: PriceVector) -> tuple[np.ndarray, int]:
     """Scaled prices of all 2**m sets: table[mask] / denom is p(mask)."""
-    return scaled_table(prices.prices, np.add)
+    return int_table(prices.nums, np.add), prices.denom
 
 
 def _utilities(valuation: Valuation, table: tuple[np.ndarray, int]

@@ -11,6 +11,7 @@ and yields a Hall-style witness on failure.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -243,20 +244,27 @@ def minimal_envy_free(instance, bound: Fraction, step: Fraction) -> list[PriceVe
             f"{levels ** m} grid points exceed the safety limit of "
             f"{MAX_GRID_POINTS}")
     lattice = [step * k for k in range(levels)]
+    num, den = step.numerator, step.denominator
     minimal: list[PriceVector] = []
+    # The lattice indices of the minimal points: a point's prices are its
+    # indices times step, so domination on indices is domination on prices.
+    corners: list[tuple[int, ...]] = []
     # A point q <= p with q != p differs from p first in a coordinate where
     # it is smaller, so q precedes p lexicographically.  Every point below p
     # has therefore been scanned already, and checking p against the
     # minimal points found so far decides its minimality.  That check comes
     # first: a p above a found minimal point is not minimal whether or not
-    # it is envy-free, so its envy-freeness is never tested, and the result
-    # is the one the unpruned scan gives, in the same order.
-    for combo in itertools.product(lattice, repeat=m):
-        p = PriceVector(combo)
-        if any(q.dominated_by(p) for q in minimal):
+    # it is envy-free, so no price vector is built for it and its
+    # envy-freeness is never tested, and the result is the one the unpruned
+    # scan gives, in the same order.
+    for point in itertools.product(range(levels), repeat=m):
+        if any(all(map(operator.le, corner, point)) for corner in corners):
             continue
+        p = PriceVector.from_scaled(tuple(k * num for k in point), den,
+                                    tuple(lattice[k] for k in point))
         if is_price_envy_free(instance, p):
             minimal.append(p)
+            corners.append(point)
     return minimal
 
 

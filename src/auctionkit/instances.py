@@ -20,6 +20,7 @@ regenerated from its metadata alone.
 from __future__ import annotations
 
 import json
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -34,10 +35,10 @@ from .auctions import (AuctionTrace, Certify, Decision, EnvyFreeOutcome, Raise,
                        StalledOutcome, StepLimitOutcome)
 from .demand import DemandResult, PriceVector
 from .equilibrium import Allocation
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, format_scaled, parse_rational
 from .valuations import (MAX_EXHAUSTIVE_ITEMS, Additive, BudgetAdditive,
                          Explicit, MultiPeak, SetSystem, UnitDemand, Valuation,
-                         check_monotone, validate_set_system)
+                         check_monotone, validate_set_system, value_table)
 
 MAX_GENERATION_RETRIES = 10_000
 
@@ -364,9 +365,10 @@ def _encode_bidder(v: Valuation) -> dict:
                 "epsilon": format_rational(v.system.epsilon),
                 "peaks": [list(p) for p in v.system.peaks]}
     if isinstance(v, Explicit):
+        table = value_table(v)
         return {"type": "explicit",
-                "table": dict(zip(_subset_keys(v.num_items),
-                                  map(format_rational, v.table)))}
+                "table": {key: format_scaled(n, table.denom) for key, n in
+                          zip(_subset_keys(v.num_items), table.nums.tolist())}}
     raise TypeError(f"unknown valuation class {type(v).__name__}")
 
 
@@ -405,10 +407,11 @@ def _parse_values(raw: Any, m: Optional[int], where: str,
 
 
 def _read_table(table_raw: Any, m: int, where: str, canonicalize: bool,
-                index: dict[str, int]) -> tuple[Fraction, ...]:
-    """One explicit table as a tuple indexed by mask.  index maps canonical
-    subset keys to masks; it is shared by the tables of one document and
-    built on the first of them."""
+                index: dict[str, int]) -> tuple[list[int], int]:
+    """One explicit table as (nums, denom): the value of mask is
+    nums[mask] / denom, and denom is the LCM of the entries' reduced
+    denominators.  index maps canonical subset keys to masks; it is shared
+    by the tables of one document and built on the first of them."""
     _expect(isinstance(table_raw, dict), f"{where}: expected an object")
     # Both refusals come before any per-entry work, so a document that
     # cannot be valid never makes 2**m of anything.
@@ -420,7 +423,9 @@ def _read_table(table_raw: Any, m: int, where: str, canonicalize: bool,
             f"{where}: expected {1 << m} subsets, got {len(table_raw)}")
     if not index:
         index.update((key, mask) for mask, key in enumerate(_subset_keys(m)))
-    dense: list[Optional[Fraction]] = [None] * (1 << m)
+    nums = [0] * (1 << m)
+    # (mask, value) of the entries that are not integers.
+    fractional: list[tuple[int, Fraction]] = []
     # With exactly 2**m distinct keys, each of them canonical, every subset
     # is filled exactly once.
     for key, entry in table_raw.items():
@@ -433,14 +438,22 @@ def _read_table(table_raw: Any, m: int, where: str, canonicalize: bool,
         # A bare nonnegative integer needs no parsing; any other entry goes
         # through the shared parser.
         if type(entry) is int and entry >= 0:
-            dense[mask] = Fraction(entry)
+            nums[mask] = entry
             continue
         val = parse_rational(entry, canonicalize=canonicalize,
                              where=f"{where}[{key!r}]")
         if val.numerator < 0:
             raise SchemaError(f"{where}[{key!r}]: values must be nonnegative")
-        dense[mask] = val
-    return tuple(dense)
+        if val.denominator == 1:
+            nums[mask] = val.numerator
+        else:
+            fractional.append((mask, val))
+    denom = math.lcm(*(val.denominator for _, val in fractional))
+    if denom > 1:
+        nums = [n * denom for n in nums]
+        for mask, val in fractional:
+            nums[mask] = val.numerator * (denom // val.denominator)
+    return nums, denom
 
 
 def _decode_bidder(raw: Any, m: int, where: str, canonicalize: bool,
@@ -493,8 +506,9 @@ def _decode_bidder(raw: Any, m: int, where: str, canonicalize: bool,
             return MultiPeak(system, m)
         if kind == "explicit":
             _expect(set(raw) == {"type", "table"}, f"{where}: unexpected keys")
-            valuation = Explicit(m, _read_table(raw["table"], m, f"{where}.table",
-                                                canonicalize, index))
+            valuation = Explicit.from_scaled(
+                m, *_read_table(raw["table"], m, f"{where}.table",
+                                canonicalize, index))
             report = check_monotone(valuation)
             if not report.holds:
                 bad, extra = report.counterexample
@@ -529,7 +543,8 @@ def decode_instance(data: Union[bytes, str], *,
 
 def prices_payload(prices: PriceVector) -> list:
     """JSON form of a price vector, one canonical rational per item."""
-    return [format_rational(p) for p in prices.prices]
+    denom = prices.denom
+    return [format_scaled(n, denom) for n in prices.nums]
 
 
 def allocation_payload(allocation: Allocation) -> list:

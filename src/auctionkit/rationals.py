@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Union
@@ -17,8 +18,10 @@ def parse_rational(raw: Union[int, str], *, canonicalize: bool = False,
                    where: str = "rational") -> Fraction:
     """Parse a JSON int or a "num/den" string into an exact Fraction.
 
-    Non-canonical strings such as "2/4" are rejected unless ``canonicalize``
-    is set, in which case they are reduced silently.
+    A string must spell its value as format_rational writes it: "2/4",
+    "3/1", "007" and "-0" are rejected unless ``canonicalize`` is set, in
+    which case they are reduced silently.  The string of an integer, such
+    as "3", is accepted.
     """
     if isinstance(raw, bool):
         raise SchemaError(f"{where}: expected a rational, got a boolean")
@@ -31,7 +34,7 @@ def parse_rational(raw: Union[int, str], *, canonicalize: bool = False,
         num = int(match.group(1))
         den = int(match.group(2)) if match.group(2) else 1
         value = Fraction(num, den)
-        if not canonicalize and (value.numerator != num or value.denominator != den):
+        if not canonicalize and str(format_rational(value)) != raw:
             raise SchemaError(
                 f"{where}: {raw!r} is not in lowest terms "
                 f"(canonical form is {format_rational(value)!r})"
@@ -45,3 +48,13 @@ def format_rational(value: Fraction) -> Union[int, str]:
     if value.denominator == 1:
         return int(value)
     return f"{value.numerator}/{value.denominator}"
+
+
+def format_scaled(num: int, denom: int) -> Union[int, str]:
+    """format_rational(Fraction(num, denom)), without building the Fraction."""
+    if denom == 1:
+        return num
+    common = math.gcd(num, denom)
+    if common == denom:
+        return num // denom
+    return f"{num // common}/{denom // common}"

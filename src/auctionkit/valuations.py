@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -219,27 +220,60 @@ class MultiPeak:
                                   self.system.epsilon)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Explicit:
-    """Dense table of values, indexed by subset mask."""
+    """Dense table of values, indexed by subset mask.
+
+    The values live in the valuation's value table, integers over one
+    denominator, which `value` reads.  Explicit(m, table) takes them as
+    rationals and builds that table on first use; Explicit.from_scaled
+    takes the integers and builds it at once.
+    """
 
     num_items: int
+    # A field read through a cached property: the values as Fractions,
+    # built from the value table on first read unless the constructor was
+    # given them.  Equality, hashing and repr compare and show this tuple.
     table: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "table", _fraction_tuple(self.table, what="table values"))
-        _guard_items(self.num_items, "an explicit table")
-        if len(self.table) != 1 << self.num_items:
+    def __init__(self, num_items: int, table):
+        table = _fraction_tuple(table, what="table values")
+        _guard_items(num_items, "an explicit table")
+        if len(table) != 1 << num_items:
             raise ValueError(
-                f"table must have {1 << self.num_items} entries, "
-                f"got {len(self.table)}")
-        if self.table[0] != 0:
+                f"table must have {1 << num_items} entries, got {len(table)}")
+        if table[0] != 0:
             raise ValueError("the empty set must have value 0")
+        object.__setattr__(self, "num_items", num_items)
+        self.__dict__["table"] = table
+
+    @classmethod
+    def from_scaled(cls, num_items: int, nums: list[int],
+                    denom: int) -> "Explicit":
+        """The valuation with value(mask) = nums[mask] / denom; the checks
+        and messages are the constructor's."""
+        _guard_items(num_items, "an explicit table")
+        if len(nums) != 1 << num_items:
+            raise ValueError(
+                f"table must have {1 << num_items} entries, got {len(nums)}")
+        if min(nums) < 0:
+            raise ValueError("table values must be nonnegative")
+        if nums[0] != 0:
+            raise ValueError("the empty set must have value 0")
+        valuation = object.__new__(cls)
+        object.__setattr__(valuation, "num_items", num_items)
+        _keep_table(valuation, int_table(nums), denom)
+        return valuation
+
+    @cached_property
+    def table(self) -> tuple[Fraction, ...]:
+        kept = self._value_table
+        return tuple(Fraction(n, kept.denom) for n in kept.nums.tolist())
 
     def value(self, bundle: ItemSet) -> Fraction:
         _check_bundle(bundle, self.num_items)
-        return self.table[bundle.mask]
+        kept = _kept_table(self)
+        return Fraction(int(kept.nums[bundle.mask]), kept.denom)
 
 
 Valuation = Union[Additive, UnitDemand, BudgetAdditive, MultiPeak, Explicit]
@@ -297,21 +331,29 @@ def scaled_table(values, fold=None, cap: Optional[Fraction] = None
                  ) -> tuple[np.ndarray, int]:
     """Nonnegative rationals as exact integers over one common denominator.
 
-    Returns (nums, denom) with denom the LCM of every denominator.  Without
-    fold, nums[i] = values[i] * denom.  With fold (np.add or np.maximum) the
-    values are per item and nums[mask] folds the items of mask; the table is
-    built in place by doubling, item i filling the masks that have it as
-    their highest item from the masks below 2**i.
-    cap, when given, clips every entry from above.  The dtype comes from
-    int_dtype with a bound on every entry and partial fold.
+    Returns (int_table(nums, fold, cap * denom), denom) with denom the LCM
+    of every denominator and nums[i] = values[i] * denom.
     """
     parts = list(values) if cap is None else [*values, cap]
     ratios = [v.as_integer_ratio() for v in parts]
     denom = math.lcm(*(d for _, d in ratios))
     nums = [n * (denom // d) for n, d in ratios]
     cap_num = None if cap is None else nums.pop()
+    return int_table(nums, fold, cap_num), denom
+
+
+def int_table(nums, fold=None, cap: Optional[int] = None) -> np.ndarray:
+    """Nonnegative integers as an array.
+
+    Without fold the array is nums itself.  With fold (np.add or np.maximum)
+    the integers are per item and entry mask folds the items of mask; the
+    table is built in place by doubling, item i filling the masks that have
+    it as their highest item from the masks below 2**i.
+    cap, when given, clips every entry from above.  The dtype comes from
+    int_dtype with a bound on every entry and partial fold.
+    """
     bound = max(sum(nums) if fold is np.add else max(nums, default=0),
-                cap_num or 0)
+                cap or 0)
     dtype = int_dtype(bound)
     if fold is None:
         table = np.array(nums, dtype=dtype)
@@ -320,9 +362,9 @@ def scaled_table(values, fold=None, cap: Optional[Fraction] = None
         for i, x in enumerate(nums):
             half = 1 << i
             fold(table[:half], x, out=table[half:2 * half])
-    if cap_num is not None:
-        np.minimum(table, cap_num, out=table)
-    return table, denom
+    if cap is not None:
+        np.minimum(table, cap, out=table)
+    return table
 
 
 def _guard_items(num_items: int, what: str,
@@ -340,14 +382,25 @@ def value_table(valuation: Valuation) -> ValueTable:
     its dataclass fields, for as long as the valuation lives; later calls
     return the same read-only table.
     """
+    return _kept_table(valuation)
+
+
+def _kept_table(valuation: Valuation) -> ValueTable:
+    """value_table's work.  Explicit.value reads its table through here, so
+    evaluating one bundle is not a value_table query."""
     table = getattr(valuation, "_value_table", None)
     if table is None:
         m = valuation.num_items
         _guard_items(m, "value_table")
-        nums, denom = _scaled_values(valuation)
-        nums.flags.writeable = False
-        table = ValueTable(nums, denom, m)
-        object.__setattr__(valuation, "_value_table", table)
+        table = _keep_table(valuation, *_scaled_values(valuation))
+    return table
+
+
+def _keep_table(valuation: Valuation, nums: np.ndarray,
+                denom: int) -> ValueTable:
+    nums.flags.writeable = False
+    table = ValueTable(nums, denom, valuation.num_items)
+    object.__setattr__(valuation, "_value_table", table)
     return table
 
 

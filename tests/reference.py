@@ -3,7 +3,8 @@
 Everything here is deliberately written the slow, obvious way: plain
 Fractions, itertools over explicit subsets, no numpy, no bitmask tricks.
 These are the independent second routes that the fast implementations are
-measured against on small ground sets.
+measured against on small ground sets.  FractionPrices stands in for
+PriceVector wherever only `.prices` is read.
 """
 
 from fractions import Fraction
@@ -160,3 +161,49 @@ def min_walrasian_unit_demand(instance):
                                             instance.num_items)[0]
             prices[j - 1] = values[i][j - 1] - gain
     return PriceVector(tuple(prices))
+
+
+class FractionPrices:
+    """A price vector held as a tuple of Fractions: PriceVector's interface
+    without its integer form."""
+
+    def __init__(self, prices):
+        self.prices = tuple(Fraction(p) for p in prices)
+        if any(p < 0 for p in self.prices):
+            raise ValueError("prices must be nonnegative")
+
+    def __eq__(self, other):
+        return self.prices == other.prices
+
+    def __hash__(self):
+        return hash(self.prices)
+
+    def dominated_by(self, other):
+        if len(self.prices) != len(other.prices):
+            raise ValueError("price vectors must have equal length")
+        return all(a <= b for a, b in zip(self.prices, other.prices))
+
+    def total(self, bundle):
+        return sum((self.prices[j - 1] for j in bundle), Fraction(0))
+
+    def raised(self, items, increment):
+        return FractionPrices(p + increment if j in items else p
+                              for j, p in enumerate(self.prices, start=1))
+
+    def price_table(self):
+        """p(S) of every subset S, indexed by mask."""
+        m = len(self.prices)
+        return [self.total([j for j in range(1, m + 1) if mask >> (j - 1) & 1])
+                for mask in range(1 << m)]
+
+
+def naive_minimal_envy_free(instance, bound, step):
+    """The unpruned grid scan: every point of the step lattice in
+    [0, bound]^m is tested, then the domination-minimal envy-free points are
+    kept, as Fraction tuples in lexicographic order."""
+    lattice = [step * k for k in range(int(bound / step) + 1)]
+    free = [FractionPrices(point)
+            for point in product(lattice, repeat=instance.num_items)]
+    free = [p for p in free if naive_envy_free(instance, p)]
+    return [p.prices for p in free
+            if not any(q != p and q.dominated_by(p) for q in free)]

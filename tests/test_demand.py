@@ -6,7 +6,11 @@ import random
 import weakref
 from fractions import Fraction as F
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from auctionkit import (Additive, BudgetAdditive, Explicit, Instance, ItemSet,
                         MultiPeak, PriceVector, SetSystem, UnitDemand,
@@ -20,7 +24,7 @@ from auctionkit import (Additive, BudgetAdditive, Explicit, Instance, ItemSet,
 from auctionkit.errors import DemandCapExceededError, GroundSetTooLargeError
 
 from conftest import count_price_tables
-from reference import naive_demand, naive_demand_sets
+from reference import FractionPrices, naive_demand, naive_demand_sets
 
 P0_8 = PriceVector.zero(8)
 
@@ -554,3 +558,114 @@ class TestPriceVector:
     def test_raised(self):
         p = PriceVector.zero(3).raised(ItemSet([1, 3]), F(1, 2))
         assert p.prices == (F(1, 2), F(0), F(1, 2))
+
+
+# Prices with denominators up to 2**40, with small ones and halves mixed in
+# so that sums collapse denominators.
+PRICES = st.one_of(
+    st.integers(0, 8).map(F),
+    st.sampled_from((F(1, 2), F(3, 2), F(1, 3), F(5, 6))),
+    st.builds(F, st.integers(0, 2 ** 45), st.integers(1, 2 ** 40)))
+INCREMENTS = st.one_of(
+    st.sampled_from((F(1, 2), F(1), F(1, 3), F(2, 3))),
+    st.builds(F, st.integers(1, 2 ** 41), st.integers(1, 2 ** 40)))
+
+
+def _bundles(m):
+    return [ItemSet.from_mask(mask) for mask in range(1 << m)]
+
+
+def _agrees(p, ref):
+    """Everything PriceVector shows of one vector equals the reference's."""
+    assert p.prices == ref.prices
+    assert repr(p) == f"PriceVector(prices={ref.prices!r})"
+    assert p.num_items == len(ref.prices)
+    assert p.denom >= 1 and math.gcd(p.denom, *p.nums) == 1
+    assert len(p.nums) == len(ref.prices)
+    for bundle in _bundles(p.num_items):
+        assert p.total(bundle) == ref.total(bundle)
+    table, denom = demand._price_table(p)
+    assert [F(int(n), denom) for n in table] == ref.price_table()
+
+
+class TestPriceVectorAgainstFractions:
+    """PriceVector keeps integers over one denominator; FractionPrices in
+    tests/reference.py keeps the Fractions themselves.  Both must agree."""
+
+    @given(st.integers(0, 5).flatmap(
+        lambda m: st.tuples(st.lists(PRICES, min_size=m, max_size=m),
+                            st.lists(PRICES, min_size=m, max_size=m))),
+        st.integers(1, 7))
+    @settings(max_examples=200, deadline=None)
+    def test_equality_hash_domination(self, pair, scale):
+        a, b = pair
+        ref_a, ref_b = FractionPrices(a), FractionPrices(b)
+        p, q = PriceVector(a), PriceVector(b)
+        _agrees(p, ref_a)
+        _agrees(q, ref_b)
+        assert (p == q) == (ref_a == ref_b)
+        if p == q:
+            assert hash(p) == hash(q)
+        assert p.dominated_by(q) == ref_a.dominated_by(ref_b)
+        assert q.dominated_by(p) == ref_b.dominated_by(ref_a)
+        assert (p <= q) == ref_a.dominated_by(ref_b)
+        # The same values over a scaled denominator, and as Fractions built
+        # anew, give an equal vector with an equal hash.
+        same = PriceVector.from_scaled(
+            tuple(n * scale for n in p.nums), p.denom * scale)
+        fresh = PriceVector(tuple(F(x.numerator, x.denominator) for x in a))
+        for twin in (same, fresh):
+            assert twin == p and hash(twin) == hash(p)
+            assert (twin.nums, twin.denom) == (p.nums, p.denom)
+            _agrees(twin, ref_a)
+
+    @given(st.integers(0, 5).flatmap(
+        lambda m: st.tuples(st.lists(PRICES, min_size=m, max_size=m),
+                            st.lists(st.integers(1, m), max_size=m)
+                            if m else st.just([]))),
+        INCREMENTS, st.integers(1, 4))
+    @settings(max_examples=200, deadline=None)
+    def test_raised(self, vector, increment, rounds):
+        values, items = vector
+        items = ItemSet(items)
+        p, ref = PriceVector(values), FractionPrices(values)
+        for _ in range(rounds):
+            p, ref = p.raised(items, increment), ref.raised(items, increment)
+            _agrees(p, ref)
+            assert p == PriceVector(ref.prices)
+            assert hash(p) == hash(PriceVector(ref.prices))
+        if items:
+            with pytest.raises(ValueError, match="prices must be nonnegative"):
+                ref.raised(items, -increment * (rounds + 1) - max(values))
+            with pytest.raises(ValueError, match="prices must be nonnegative"):
+                p.raised(items, -increment * (rounds + 1) - max(values))
+
+    def test_raise_collapses_the_denominator(self):
+        half = PriceVector((F(1, 2), F(0), F(3, 4)))
+        p = half.raised(ItemSet([1]), F(1, 2))
+        assert (p.nums, p.denom) == ((4, 0, 3), 4)
+        p = p.raised(ItemSet([3]), F(1, 4))
+        assert (p.nums, p.denom) == ((1, 0, 1), 1)
+        assert p == PriceVector((F(1), F(0), F(1)))
+        assert hash(p) == hash(PriceVector((F(1), F(0), F(1))))
+        _agrees(p, FractionPrices((1, 0, 1)))
+
+    def test_empty_ground_set(self):
+        p, ref = PriceVector(()), FractionPrices(())
+        assert p == PriceVector.zero(0) and hash(p) == hash(PriceVector.zero(0))
+        assert (p.nums, p.denom) == ((), 1)
+        assert p.dominated_by(PriceVector.zero(0))
+        assert p.raised(ItemSet(), F(1, 2)) == p
+        _agrees(p, ref)
+
+    def test_refusals_unchanged(self):
+        with pytest.raises(ValueError, match="prices must be nonnegative"):
+            PriceVector((F(1), F(-1, 3)))
+        with pytest.raises(ValueError, match="prices must be nonnegative"):
+            PriceVector.from_scaled((1, -1), 3)
+        with pytest.raises(ValueError, match="outside the ground set"):
+            PriceVector.zero(2).raised(ItemSet([3]), F(1))
+        with pytest.raises(ValueError, match="no price"):
+            PriceVector.zero(2).total(ItemSet([3]))
+        with pytest.raises(ValueError, match="equal length"):
+            PriceVector.zero(2).dominated_by(PriceVector.zero(3))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import operator
 import random
 import tracemalloc
 from fractions import Fraction as F
@@ -21,6 +22,7 @@ from auctionkit.auctions import EnvyFreeOutcome
 from auctionkit.errors import GridTooLargeError, GroundSetTooLargeError
 
 from conftest import count_price_tables
+import reference
 from reference import (min_walrasian_unit_demand, naive_envy_free,
                        overdemand_margin)
 
@@ -68,6 +70,32 @@ def _grid_instances(draw):
                for v in bidders for j in range(1, m + 1)), default=F(0))
     step = draw(st.sampled_from((F(1), F(1, 2), F(3, 2))))
     return inst, top + draw(st.sampled_from((F(0), F(1, 2), F(1)))), step
+
+
+SIXTHS = st.integers(0, 18).map(lambda k: F(k, 6))
+
+
+@st.composite
+def _unit_or_explicit_grid(draw):
+    """All unit-demand bidders (the matching route), all explicit ones, or
+    a mix of both (the backtracking route), with values in sixths, and a
+    bound at or above the largest single-item value."""
+    m = draw(st.integers(1, 3))
+    kinds = draw(st.sampled_from(((UnitDemand,), (Explicit,),
+                                  (UnitDemand, Explicit))))
+    bidders = []
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.sampled_from(kinds)) is Explicit:
+            rest = draw(st.lists(SIXTHS, min_size=2 ** m - 1,
+                                 max_size=2 ** m - 1))
+            bidders.append(Explicit(m, (F(0),) + tuple(rest)))
+        else:
+            bidders.append(UnitDemand(tuple(
+                draw(st.lists(SIXTHS, min_size=m, max_size=m)))))
+    top = max((eval_valuation(v, ItemSet([j]))
+               for v in bidders for j in range(1, m + 1)), default=F(0))
+    return Instance(m, tuple(bidders)), top + draw(
+        st.sampled_from((F(0), F(1, 3), F(1))))
 
 
 def _item_seekers():
@@ -304,6 +332,43 @@ class TestMinimalEnvyFree:
         for p in tested:
             assert not any(q != p and q.dominated_by(p) for q in points)
         assert len(tested) < 6 ** 4
+
+    @given(_unit_or_explicit_grid(), st.sampled_from((F(1), F(1, 2), F(2, 3))))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_unpruned_fraction_scan(self, case, step):
+        """The integer walk returns the list the unpruned Fraction scan of
+        tests/reference.py returns, in the same order."""
+        inst, bound = case
+        points = minimal_envy_free(inst, bound, step)
+        assert [p.prices for p in points] == \
+            reference.naive_minimal_envy_free(inst, bound, step)
+        for p in points:
+            fresh = PriceVector(p.prices)
+            assert p == fresh and hash(p) == hash(fresh)
+            assert (p.nums, p.denom) == (fresh.nums, fresh.denom)
+
+    @pytest.mark.parametrize("inst", [
+        gen_unit_demand(3, 3, (0, 5), seed=8),
+        Instance(3, _item_seekers()),
+    ], ids=["unit-demand", "explicit"])
+    def test_no_price_vector_for_a_pruned_point(self, monkeypatch, inst):
+        built = []
+        make = PriceVector.from_scaled
+
+        def spy(cls, nums, denom, prices=None):
+            built.append(make(nums, denom, prices))
+            return built[-1]
+
+        monkeypatch.setattr(PriceVector, "from_scaled", classmethod(spy))
+        step, bound = F(1, 2), F(5)
+        points = minimal_envy_free(inst, bound, step)
+        lattice = [step * k for k in range(11)]
+        grid = list(itertools.product(lattice, repeat=3))
+        pruned = {t for t in grid
+                  if any(q.prices != t and all(map(operator.le, q.prices, t))
+                         for q in points)}
+        assert points and pruned
+        assert [p.prices for p in built] == [t for t in grid if t not in pruned]
 
     def test_is_exactly_the_minimum_walrasian_prices(self):
         """Criterion-6-size instances (integer values, step 1): the exact

@@ -7,11 +7,13 @@ import json
 from fractions import Fraction as F
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import auctionkit.instances
+import auctionkit.valuations
 from auctionkit import (Additive, Explicit, Instance, ItemSet, PriceVector,
                         UnitDemand, check_submodular, decode_instance,
                         dump_prices, encode_instance, eval_valuation,
@@ -20,7 +22,8 @@ from auctionkit import (Additive, Explicit, Instance, ItemSet, PriceVector,
 from auctionkit.errors import (GroundSetTooLargeError,
                                InfeasibleGenerationError, SchemaError)
 from auctionkit.instances import dumps
-from auctionkit.rationals import parse_rational
+from auctionkit.rationals import format_rational, parse_rational
+from auctionkit.valuations import value_table
 
 
 class TestGenerators:
@@ -163,8 +166,11 @@ class TestRoundTrip:
             elif form == "scaled" and canonicalize:
                 k = data.draw(st.integers(2, 5))
                 raw[mask] = f"{total.numerator * k}/{total.denominator * k}"
-            else:
+            elif canonicalize or total.denominator > 1:
                 raw[mask] = f"{total.numerator}/{total.denominator}"
+            else:
+                # Strict mode refuses "n/1"; an integer's text is "n".
+                raw[mask] = str(total.numerator)
         doc = json.dumps({"m": m, "bidders": [{"type": "explicit", "table": dict(
             zip(auctionkit.instances._subset_keys(m), raw))}]})
         decoded = decode_instance(doc, canonicalize_rationals=canonicalize)
@@ -369,6 +375,147 @@ class TestDecodeValidation:
             load_prices(json.dumps({"prices": [1, 2]}), 3)
         with pytest.raises(SchemaError, match="nonnegative"):
             load_prices(json.dumps({"prices": ["-1"]}), 1)
+
+
+class TestCanonicalSpellings:
+    """Strict decoding accepts a rational only as encoding spells it (an
+    integer may also be written as a string), so a document that decodes
+    strictly re-encodes to the same values."""
+
+    @pytest.mark.parametrize("raw, canonical", [
+        ("007", 7), ("-0", 0), ("3/1", 3), ("00/1", 0), ("-0/1", 0),
+        ("06/4", "3/2"), ("0010/4", "5/2"), ("01/2", "1/2"),
+    ])
+    def test_refused_strictly_reduced_when_asked(self, raw, canonical):
+        with pytest.raises(SchemaError) as info:
+            parse_rational(raw)
+        assert str(info.value) == (f"rational: {raw!r} is not in lowest terms "
+                                   f"(canonical form is {canonical!r})")
+        assert format_rational(parse_rational(raw, canonicalize=True)) == \
+            canonical
+        table = {"": 0, "1": raw, "2": 0, "1,2": 10}
+        for bidder, where in (
+                ({"type": "additive", "values": [raw, 1]}, "values[0]"),
+                ({"type": "explicit", "table": table}, "table['1']")):
+            doc = json.dumps({"m": 2, "bidders": [bidder]})
+            with pytest.raises(SchemaError) as info:
+                decode_instance(doc)
+            assert str(info.value) == (
+                f"bidders[0].{where}: {raw!r} is not in lowest terms "
+                f"(canonical form is {canonical!r})")
+            again = json.loads(encode_instance(
+                decode_instance(doc, canonicalize_rationals=True)))
+            assert str(canonical) in json.dumps(again["bidders"][0])
+        with pytest.raises(SchemaError, match="not in lowest terms"):
+            load_prices(json.dumps({"prices": [raw]}))
+        assert load_prices(json.dumps({"prices": [raw]}),
+                           canonicalize_rationals=True) == \
+            PriceVector((parse_rational(raw, canonicalize=True),))
+
+    SPELLINGS = st.one_of(
+        st.integers(0, 60),
+        st.builds(lambda zeros, n: "0" * zeros + str(n),
+                  st.integers(0, 2), st.integers(0, 60)),
+        st.builds(lambda zeros, n, d: "0" * zeros + f"{n}/{d}",
+                  st.integers(0, 2), st.integers(0, 60), st.integers(1, 12)),
+        st.sampled_from(["-0", "-0/1", "-0/3", "0/1"]))
+
+    @given(st.lists(SPELLINGS, min_size=1, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_strict_documents_re_encode_unchanged(self, raws):
+        m = len(raws)
+        doc = json.dumps({"m": m, "metadata": {}, "bidders": [
+            {"type": "additive", "values": raws},
+            {"type": "explicit", "table": dict(zip(
+                auctionkit.instances._subset_keys(m),
+                # The spellings on the singletons, a larger value above.
+                [0] + [raws[mask.bit_length() - 1] if mask & (mask - 1) == 0
+                       else 100 for mask in range(1, 1 << m)]))}]})
+        canonical = [format_rational(parse_rational(raw, canonicalize=True))
+                     for raw in raws]
+        if [str(x) for x in canonical] != [str(raw) for raw in raws]:
+            with pytest.raises(SchemaError, match="not in lowest terms"):
+                decode_instance(doc)
+            doc = encode_instance(decode_instance(doc,
+                                                  canonicalize_rationals=True))
+        again = json.loads(encode_instance(decode_instance(doc)))
+        table = again["bidders"][1]["table"]
+        for written in (again["bidders"][0]["values"],
+                        [table[str(j)] for j in range(1, m + 1)]):
+            assert [str(x) for x in written] == [str(x) for x in canonical]
+        assert encode_instance(decode_instance(encode_instance(
+            decode_instance(doc)))) == encode_instance(decode_instance(doc))
+
+
+def _explicit_doc(table) -> str:
+    m = (len(table) - 1).bit_length()
+    return json.dumps({"m": m, "bidders": [{"type": "explicit", "table": dict(
+        zip(auctionkit.instances._subset_keys(m), map(format_rational, table)))}]})
+
+
+class TestDecodedTables:
+    """A decoded explicit document and the same table built from Fractions
+    are one valuation, though the decoder hands the value table integers
+    and never builds the Fractions."""
+
+    TABLES = {
+        "integer": (F(0), F(3), F(4), F(5)),
+        "fractional": (F(0), F(1, 2), F(2, 3), F(7, 6), F(1, 4), F(3, 4),
+                       F(5, 6), F(11, 6)),
+        "past-int64": (F(0), F(2 ** 63 + 1, 2), F(2 ** 64),
+                       F(3 * 2 ** 64 + 7)),
+    }
+
+    @pytest.mark.parametrize("table", TABLES.values(), ids=list(TABLES))
+    def test_decoded_equals_built(self, monkeypatch, table):
+        scaled = []
+        scale = auctionkit.valuations.scaled_table
+        monkeypatch.setattr(auctionkit.valuations, "scaled_table",
+                            lambda *args: scaled.append(args) or scale(*args))
+        decoded = decode_instance(_explicit_doc(table)).bidders[0]
+        assert scaled == []
+        m = decoded.num_items
+        built = Explicit(m, table)
+        for mask in range(1 << m):
+            bundle = ItemSet.from_mask(mask)
+            assert decoded.value(bundle) == built.value(bundle) == table[mask]
+        # value reads the integers; the Fractions are built on request.
+        assert "table" not in vars(decoded)
+        mine, theirs = value_table(decoded), value_table(built)
+        assert mine.nums.dtype == theirs.nums.dtype == \
+            (object if table is self.TABLES["past-int64"] else np.int64)
+        assert (mine.nums.tolist(), mine.denom, mine.max_abs) == \
+            (theirs.nums.tolist(), theirs.denom, theirs.max_abs)
+        assert decoded.table == built.table == table
+        assert all(type(x) is F for x in decoded.table)
+        assert decoded == built and hash(decoded) == hash(built)
+        assert repr(decoded) == repr(built)
+        assert encode_instance(Instance(m, (decoded,))) == \
+            encode_instance(Instance(m, (built,)))
+
+    @pytest.mark.parametrize("table, where, message", [
+        ((1, 2), "bidders[0]", "the empty set must have value 0"),
+        ((0, -1), "bidders[0].table['1']", "values must be nonnegative"),
+    ])
+    def test_refusals_unchanged(self, table, where, message):
+        with pytest.raises(SchemaError) as info:
+            decode_instance(json.dumps({"m": 1, "bidders": [
+                {"type": "explicit", "table": {"": table[0], "1": table[1]}}]}))
+        assert str(info.value) == f"{where}: {message}"
+
+    @pytest.mark.parametrize("m, table, error, message", [
+        (1, (1, 2), ValueError, "the empty set must have value 0"),
+        (1, (0, -1), ValueError, "table values must be nonnegative"),
+        (2, (0, 1), ValueError, "table must have 4 entries, got 2"),
+        (21, (), GroundSetTooLargeError,
+         "an explicit table is limited to 20 items, got 21"),
+    ])
+    def test_both_constructors_refuse_alike(self, m, table, error, message):
+        with pytest.raises(error) as built:
+            Explicit(m, tuple(F(x) for x in table))
+        with pytest.raises(error) as scaled:
+            Explicit.from_scaled(m, list(table), 1)
+        assert str(built.value) == str(scaled.value) == message
 
 
 class TestDocumentReader:
