@@ -95,9 +95,18 @@ class ItemSet:
 EMPTY_SET = ItemSet()
 
 
-def canonical_key(bundle: ItemSet) -> tuple[int, tuple[int, ...]]:
-    """Sort key for the canonical order: cardinality, then the item list."""
-    return (len(bundle), bundle.items())
+def canonical_less(a: int, b: int) -> bool:
+    """Whether the set with mask a comes before the set with mask b in the
+    canonical order: by cardinality, then by the sorted item list.
+
+    At equal cardinality the smaller item list is the one holding the
+    smallest item of the symmetric difference.
+    """
+    size_a, size_b = a.bit_count(), b.bit_count()
+    if size_a != size_b:
+        return size_a < size_b
+    diff = a ^ b
+    return a & diff & -diff != 0
 
 
 def all_masks(num_items: int) -> np.ndarray:

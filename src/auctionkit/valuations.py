@@ -88,12 +88,37 @@ class SubmodularReport:
     counterexample: Optional[tuple[ItemSet, ItemSet]] = None
 
 
+def _is_close(overlap, outside, length, pe, qe):
+    """|S & T| - |S - T| > eps * |T| with eps = pe/qe, |S & T| = overlap,
+    |S - T| = outside and |T| = length; on ints or numpy integer arrays."""
+    return qe * (overlap - outside) > pe * length
+
+
+def close_num(overlap, outside, size, pe, qe):
+    """close_region_value scaled by 4 s^2 q^2, where eps = pe/qe; on ints or
+    numpy integer arrays."""
+    return (2 * size * qe * (overlap * (2 * qe - pe) + outside * (2 * qe + pe))
+            + 4 * qe * qe * overlap * outside
+            + pe * pe * size * size)
+
+
+def far_num(cardinality, size, qe):
+    """far_region_value scaled by 4 s^2 q^2; on ints or numpy integer arrays."""
+    return qe * qe * cardinality * (4 * size - cardinality)
+
+
+def _malformed(mask: int, hits: list[int]) -> MalformedSystemError:
+    return MalformedSystemError(
+        f"{ItemSet.from_mask(mask)!r} is close to peaks {hits}; "
+        "the system is malformed")
+
+
 def eps_close(bundle: ItemSet, target: ItemSet, eps: Fraction) -> bool:
     """Whether |S & T| - |S - T| > eps * |T|.  Asymmetric in S and T."""
     eps = Fraction(eps)
     inter = len(bundle & target)
-    outside = len(bundle) - inter
-    return Fraction(inter - outside) > eps * len(target)
+    return _is_close(inter, len(bundle) - inter, len(target),
+                     eps.numerator, eps.denominator)
 
 
 def find_close_peak(system: SetSystem, bundle: ItemSet) -> Optional[int]:
@@ -103,27 +128,42 @@ def find_close_peak(system: SetSystem, bundle: ItemSet) -> Optional[int]:
     unique; closeness to two peaks therefore certifies a malformed system
     and raises.
     """
-    hits = [i for i, peak in enumerate(system.peaks)
-            if eps_close(bundle, peak, system.epsilon)]
+    pe, qe = system.epsilon.numerator, system.epsilon.denominator
+    mask = bundle.mask
+    card = mask.bit_count()
+    hits = []
+    for i, peak in enumerate(system.peaks):
+        inter = (mask & peak.mask).bit_count()
+        if _is_close(inter, card - inter, len(peak), pe, qe):
+            hits.append(i)
     if len(hits) > 1:
-        raise MalformedSystemError(
-            f"{bundle!r} is close to peaks {hits}; the system is malformed"
-        )
+        raise _malformed(mask, hits)
     return hits[0] if hits else None
+
+
+def multipeak_num(system: SetSystem, bundle: ItemSet) -> int:
+    """The multi-peak value of a bundle, scaled by 4 s^2 q^2 (eps = p/q):
+    the close formula for the one peak it is close to, else the far
+    formula.  Raises MalformedSystemError when it is close to two."""
+    idx = find_close_peak(system, bundle)
+    eps, size = system.epsilon, system.peak_size
+    card = len(bundle)
+    if idx is None:
+        return far_num(card, size, eps.denominator)
+    inter = len(bundle & system.peaks[idx])
+    return close_num(inter, card - inter, size, eps.numerator, eps.denominator)
 
 
 def close_region_value(overlap: int, outside: int, size: int, eps: Fraction) -> Fraction:
     """Value of a bundle close to a peak: |S&A| = overlap, |S-A| = outside."""
     pe, qe = eps.numerator, eps.denominator
-    num = (2 * size * qe * (overlap * (2 * qe - pe) + outside * (2 * qe + pe))
-           + 4 * qe * qe * overlap * outside
-           + pe * pe * size * size)
-    return Fraction(num, 4 * size * size * qe * qe)
+    return Fraction(close_num(overlap, outside, size, pe, qe),
+                    4 * size * size * qe * qe)
 
 
 def far_region_value(cardinality: int, size: int) -> Fraction:
     """Value of a bundle far from every peak: |S|/s - |S|^2 / (4 s^2)."""
-    return Fraction(cardinality * (4 * size - cardinality), 4 * size * size)
+    return Fraction(far_num(cardinality, size, 1), 4 * size * size)
 
 
 @dataclass(frozen=True)
@@ -211,13 +251,10 @@ class MultiPeak:
 
     def value(self, bundle: ItemSet) -> Fraction:
         _check_bundle(bundle, self.num_items)
-        idx = find_close_peak(self.system, bundle)
-        size = self.system.peak_size
-        if idx is None:
-            return far_region_value(len(bundle), size)
-        overlap = len(bundle & self.system.peaks[idx])
-        return close_region_value(overlap, len(bundle) - overlap, size,
-                                  self.system.epsilon)
+        system = self.system
+        qe, size = system.epsilon.denominator, system.peak_size
+        return Fraction(multipeak_num(system, bundle),
+                        4 * size * size * qe * qe)
 
 
 @dataclass(frozen=True, init=False)
@@ -420,34 +457,29 @@ def _scaled_values(valuation: Valuation) -> tuple[np.ndarray, int]:
 
 def _multipeak_scaled(valuation: MultiPeak) -> tuple[np.ndarray, int]:
     """The far and close formulas over the common denominator 4 s^2 q^2,
-    where epsilon = p/q."""
+    where epsilon = p/q; closeness is eps_close's test against each peak."""
     m = valuation.num_items
-    size = valuation.system.peak_size
-    eps = valuation.system.epsilon
-    pe, qe = eps.numerator, eps.denominator
+    system = valuation.system
+    size = system.peak_size
+    pe, qe = system.epsilon.numerator, system.epsilon.denominator
     # With 0 < p < q and a + b = |S| <= m <= 4 s, every term and partial
     # product of both formulas is nonnegative and at most
-    # q^2 (6 s m + m^2 + 5 s^2), and so are |q (a - b)| and p s.
+    # q^2 (6 s m + m^2 + 5 s^2), and so are |q (a - b)| and p |T| <= p m.
     dtype = int_dtype(qe * qe * (6 * size * m + m * m + 5 * size * size))
     masks = all_masks(m)
     card = popcounts(masks).astype(dtype, copy=False)
-    nums = qe * qe * card * (4 * size - card)  # far region
-    close_any = np.zeros(len(masks), dtype=bool)
-    for i, peak in enumerate(valuation.system.peaks):
+    nums = far_num(card, size, qe)
+    closes = []
+    for peak in system.peaks:
         a = popcounts(masks & peak.mask).astype(dtype, copy=False)
         b = card - a
-        close = qe * (a - b) > pe * size
-        clash = close & close_any
-        if clash.any():
-            bad = int(np.flatnonzero(clash)[0])
-            raise MalformedSystemError(
-                f"{ItemSet.from_mask(bad)!r} is close to two peaks; "
-                "the system is malformed")
-        close_any |= close
-        cnum = (2 * size * qe * (a * (2 * qe - pe) + b * (2 * qe + pe))
-                + 4 * qe * qe * a * b
-                + pe * pe * size * size)
-        nums = np.where(close, cnum, nums)
+        close = _is_close(a, b, len(peak), pe, qe)
+        closes.append(close)
+        nums = np.where(close, close_num(a, b, size, pe, qe), nums)
+    clash = np.flatnonzero(np.sum(closes, axis=0) > 1)
+    if len(clash):
+        bad = int(clash[0])
+        raise _malformed(bad, [i for i, close in enumerate(closes) if close[bad]])
     return nums, 4 * size * size * qe * qe
 
 

@@ -7,10 +7,14 @@ measured against on small ground sets.  FractionPrices stands in for
 PriceVector wherever only `.prices` is read.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations, product
+from typing import Optional
 
-from auctionkit import ItemSet, PriceVector, eval_valuation
+from auctionkit import (EMPTY_SET, DemandResult, ItemSet, MultiPeak,
+                        PriceVector, close_region_value, eval_valuation,
+                        utility)
 
 
 def all_subsets(num_items):
@@ -207,3 +211,103 @@ def naive_minimal_envy_free(instance, bound, step):
     free = [p for p in free if naive_envy_free(instance, p)]
     return [p.prices for p in free
             if not any(q != p and q.dominated_by(p) for q in free)]
+
+
+def canonical_key(bundle):
+    """Sort key for the canonical order: cardinality, then the item list."""
+    return (len(bundle), bundle.items())
+
+
+# The multi-peak demand oracle on Fractions: every threshold, kappa bound
+# and candidate gain is a Fraction.  auctionkit.demand runs the same
+# construction on integers; the two must agree on every query.
+
+def fraction_algorithm_zero(prices: PriceVector, size: int) -> ItemSet:
+    """Far-regime candidate: the longest cheap prefix under exact thresholds.
+
+    Items are sorted by (price, index).  Because sorted prices ascend while
+    the threshold 1/s - (2l-1)/(4 s^2) strictly descends, the satisfying
+    ranks form a prefix and the maximal one meets both printed conditions.
+    """
+    if size < 1:
+        raise ValueError("size must be positive")
+    order = sorted(range(len(prices.prices)),
+                   key=lambda j: (prices.prices[j], j))
+    take = 0
+    for rank, j in enumerate(order, start=1):
+        threshold = Fraction(4 * size - (2 * rank - 1), 4 * size * size)
+        if prices.prices[j] <= threshold:
+            take = rank
+        else:
+            break
+    return ItemSet(j + 1 for j in order[:take])
+
+
+def fraction_algorithm_peak(prices: PriceVector, peak: ItemSet, size: int,
+                   eps: Fraction) -> Optional[ItemSet]:
+    """Close-regime candidate for one peak, or None when nothing is marked.
+
+    For each count l of peak items with eps*s < l <= s, the largest outside
+    count kappa with kappa + eps*s < l satisfying the exact price condition
+    marks the set of the l cheapest peak items plus the kappa cheapest
+    outside items; kappa = 0 contributes no outside-price term.  Marked sets
+    are close to this peak by construction, so on well-formed systems their
+    true value is the close-region formula; the best marked set wins, ties
+    broken canonically.
+    """
+    eps = Fraction(eps)
+    if len(peak) != size:
+        raise ValueError(f"peak has {len(peak)} items, expected {size}")
+    m = prices.num_items
+    if peak.max_item() > m:
+        raise ValueError("peak uses items outside the ground set")
+    inside = sorted(peak, key=lambda j: (prices.price_of(j), j))
+    outside = sorted((j for j in range(1, m + 1) if j not in peak),
+                     key=lambda j: (prices.price_of(j), j))
+
+    best: Optional[tuple[Fraction, tuple, ItemSet]] = None
+    eps_s = eps * size
+    l_min = math.floor(eps_s) + 1
+    for l in range(l_min, size + 1):
+        gap = Fraction(l) - eps_s  # > 0
+        kappa_ub = min((gap.numerator - 1) // gap.denominator, m - size)
+        if kappa_ub < 0:
+            continue
+        for kappa in range(kappa_ub, -1, -1):
+            lhs = prices.price_of(inside[l - 1])
+            if kappa:
+                lhs += prices.price_of(outside[kappa - 1])
+            rhs = (Fraction(3, 2 * size)
+                   - (Fraction(2 * (kappa + l)) - eps_s) / (4 * size * size))
+            if lhs <= rhs:
+                marked = ItemSet(inside[:l]) | ItemSet(outside[:kappa])
+                gain = (close_region_value(l, kappa, size, eps)
+                        - prices.total(marked))
+                entry = (gain, canonical_key(marked), marked)
+                if (best is None or gain > best[0]
+                        or (gain == best[0] and entry[1] < best[1])):
+                    best = entry
+                break
+    return best[2] if best else None
+
+
+def fraction_multipeak_demand(valuation: MultiPeak, prices: PriceVector) -> DemandResult:
+    """Polynomial demand oracle: best of the empty set, the far candidate,
+    and one candidate per peak, all rescored with the true valuation."""
+    if not isinstance(valuation, MultiPeak):
+        raise TypeError("multipeak_demand needs a MultiPeak valuation")
+    if valuation.num_items != prices.num_items:
+        raise ValueError("valuation and prices disagree on the ground set size")
+    system = valuation.system
+    candidates = [EMPTY_SET, fraction_algorithm_zero(prices, system.peak_size)]
+    for peak in system.peaks:
+        marked = fraction_algorithm_peak(prices, peak, system.peak_size, system.epsilon)
+        if marked is not None:
+            candidates.append(marked)
+    best_set, best_gain = EMPTY_SET, Fraction(0)
+    for cand in candidates:
+        gain = utility(valuation, prices, cand)
+        if gain > best_gain or (gain == best_gain
+                                and canonical_key(cand) < canonical_key(best_set)):
+            best_set, best_gain = cand, gain
+    return DemandResult(best_gain, best_set, argmax_count=None)

@@ -17,14 +17,16 @@ from auctionkit import (Additive, BudgetAdditive, Explicit, Instance, ItemSet,
                         additive_demand, algorithm_peak, algorithm_zero,
                         brute_force_demand, budget_additive_demand,
                         check_monotone, check_submodular, demand,
-                        demand_oracle, demand_sets,
+                        demand_oracle, demand_sets, itemsets, valuations,
                         dgs_rule, encode_instance, greedy_submodular_rule,
                         multipeak_demand, run_ascending, unit_demand_demand,
                         utility)
 from auctionkit.errors import DemandCapExceededError, GroundSetTooLargeError
 
 from conftest import count_price_tables
-from reference import FractionPrices, naive_demand, naive_demand_sets
+from reference import (FractionPrices, fraction_algorithm_peak,
+                       fraction_algorithm_zero, fraction_multipeak_demand,
+                       naive_demand, naive_demand_sets)
 
 P0_8 = PriceVector.zero(8)
 
@@ -204,6 +206,176 @@ class TestMultipeakDemand:
                 prices = _random_prices(rng, v.num_items, top=8)
                 assert multipeak_demand(v, prices).max_utility == \
                     brute_force_demand(v, prices).max_utility
+
+
+def _outcome(oracle, valuation, prices):
+    """(max utility, witness) of a query, or the type and message it raised."""
+    try:
+        result = oracle(valuation, prices)
+    except Exception as error:  # the routes must fail alike
+        return type(error), str(error)
+    return result.max_utility, result.witness_set
+
+
+def _agree_with_fraction_route(valuation, prices):
+    """The integer oracle and its steps equal tests/reference.py's
+    Fraction route; returns the oracle's outcome."""
+    outcome = _outcome(multipeak_demand, valuation, prices)
+    assert outcome == _outcome(fraction_multipeak_demand, valuation, prices)
+    system = valuation.system
+    size, eps = system.peak_size, system.epsilon
+    assert algorithm_zero(prices, size) == fraction_algorithm_zero(prices, size)
+    for peak in system.peaks:
+        if len(peak) == size:
+            assert algorithm_peak(prices, peak, size, eps) == \
+                fraction_algorithm_peak(prices, peak, size, eps)
+    return outcome
+
+
+@st.composite
+def _epsilons(draw, size):
+    """Anywhere in (0, 1), near 1, or on or next to a multiple of 1/s."""
+    kind = draw(st.sampled_from(["any", "near one", "near j/s"]))
+    if kind == "any":
+        q = draw(st.integers(2, 2 ** 40))
+        return F(draw(st.integers(1, q - 1)), q)
+    if kind == "near one":
+        q = draw(st.integers(2, 2 ** 40))
+        return F(q - 1, q)
+    j = draw(st.integers(0, size))
+    shift = draw(st.sampled_from([0, 1, -1])) * F(1, draw(st.integers(
+        2 * size, 2 ** 40)))
+    eps = F(j, size) + shift
+    return eps if 0 < eps < 1 else F(1, 2)
+
+
+@st.composite
+def _multipeak_queries(draw):
+    """A multi-peak valuation on at most 10 items and a price vector with
+    denominators up to 2**40.  Peaks are mostly of the peak size and
+    disjoint; some overlap, so that malformed systems raise, and now and
+    then one is of another size, which the candidate construction refuses.  Some prices
+    sit on the grids of the far thresholds, 1/(4 s^2), and of the peak
+    conditions, 1/(4 s^2 q)."""
+    size = draw(st.integers(1, 5))
+    m = draw(st.integers(size, min(4 * size, 10)))
+    peaks, order, start = [], [], 0
+    for _ in range(draw(st.integers(1, 3))):
+        count = size if draw(st.integers(0, 15)) else draw(st.integers(1, m))
+        # The next items of one shuffled order, disjoint from the peaks
+        # before, or the start of a new order.
+        if start + count > len(order) or not draw(st.integers(0, 3)):
+            order, start = draw(st.permutations(range(1, m + 1))), 0
+        peaks.append(ItemSet(order[start:start + count]))
+        start += count
+    eps = draw(_epsilons(size))
+    q = eps.denominator
+    price = st.one_of(
+        st.just(F(0)),
+        st.builds(F, st.integers(0, 2 ** 41), st.integers(1, 2 ** 40)),
+        st.integers(0, 8).map(lambda n: F(n, 4 * size * size)),
+        st.integers(0, 8 * size * q).map(lambda n: F(n, 4 * size * size * q)))
+    prices = PriceVector(draw(st.lists(price, min_size=m, max_size=m)))
+    return MultiPeak(SetSystem(tuple(peaks), size, eps), m), prices
+
+
+class TestIntegerOracleAgainstFractions:
+    """multipeak_demand runs on integers; tests/reference.py keeps the same
+    construction on Fractions.  Both must give the same answer, or raise
+    the same error."""
+
+    @given(_multipeak_queries())
+    @settings(max_examples=300, deadline=None)
+    def test_routes_agree(self, query):
+        _agree_with_fraction_route(*query)
+
+    def test_price_on_the_far_threshold_is_taken(self):
+        # s = 2: rank 1 passes when its price is at most 7/16, rank 2 when
+        # at most 5/16.
+        on = PriceVector((F(7, 16),) * 4)
+        above = PriceVector((F(7, 16) + F(1, 2 ** 40),) * 4)
+        assert algorithm_zero(on, 2) == ItemSet([1])
+        assert algorithm_zero(above, 2) == ItemSet()
+        system = SetSystem((ItemSet([1, 2]), ItemSet([3, 4])), 2, F(1, 2))
+        v = MultiPeak(system, 4)
+        for prices in (on, above):
+            _agree_with_fraction_route(v, prices)
+
+    def test_far_candidate_tied_with_the_empty_set(self):
+        # v({1}) = 7/16 is its price: the far candidate gains 0, as the
+        # empty set does, and the empty set is canonically first.
+        system = SetSystem((ItemSet([1, 2]), ItemSet([3, 4])), 2, F(1, 2))
+        v, prices = MultiPeak(system, 4), PriceVector((F(7, 16),) * 4)
+        assert algorithm_zero(prices, 2) == ItemSet([1])
+        assert _agree_with_fraction_route(v, prices) == (0, ItemSet())
+        brute = brute_force_demand(v, prices)
+        assert (brute.max_utility, brute.witness_set) == (0, ItemSet())
+
+    def test_peak_candidates_tied_on_gain(self):
+        # Each peak marks itself plus the cheapest outside item, worth 11/8
+        # at zero prices.  The second peak's set is canonically first and
+        # must replace the first's.
+        system = SetSystem((ItemSet([5, 6, 7, 8]), ItemSet([1, 2, 3, 4])),
+                           4, F(1, 2))
+        v = MultiPeak(system, 8)
+        assert algorithm_peak(P0_8, system.peaks[0], 4, F(1, 2)) == \
+            ItemSet([1, 5, 6, 7, 8])
+        assert _agree_with_fraction_route(v, P0_8) == \
+            (F(11, 8), ItemSet([1, 2, 3, 4, 5]))
+
+    def test_marks_of_one_peak_tied_on_gain(self):
+        # s = 3, eps = 1/2: l = 2 marks {1, 3} and l = 3 marks {1, 2, 3},
+        # and both gain the same; the smaller set wins.
+        peak = ItemSet([1, 2, 3])
+        prices = PriceVector((F(1, 18), F(1, 4), F(17, 72)))
+        assert algorithm_peak(prices, peak, 3, F(1, 2)) == ItemSet([1, 3])
+        _agree_with_fraction_route(
+            MultiPeak(SetSystem((peak,), 3, F(1, 2)), 3), prices)
+
+    def test_kappa_bound_is_strict_when_eps_s_is_an_integer(self):
+        # eps s = 2: l = 3 allows kappa < 1 only, so {1, 2, 3, 5} is not
+        # marked even though it is affordable; l = 4 needs item 4, priced 1.
+        peak = ItemSet([1, 2, 3, 4])
+        prices = PriceVector((F(0),) * 3 + (F(1),) + (F(0),) * 4)
+        assert algorithm_peak(prices, peak, 4, F(1, 2)) == ItemSet([1, 2, 3])
+        # Just below, eps s < 2: l = 3 allows kappa = 1.
+        below = F(1, 2) - F(1, 2 ** 40)
+        assert algorithm_peak(prices, peak, 4, below) == \
+            fraction_algorithm_peak(prices, peak, 4, below)
+        for eps in (F(1, 2), below):
+            v = MultiPeak(SetSystem((peak, ItemSet([5, 6, 7, 8])), 4, eps), 8)
+            _agree_with_fraction_route(v, prices)
+
+    def test_eps_just_below_one(self):
+        # eps = 1 - 2**-40, s = 3: only l = 3 is scanned, with kappa = 0.
+        eps = F(2 ** 40 - 1, 2 ** 40)
+        peak = ItemSet([1, 2, 3])
+        assert algorithm_peak(PriceVector.zero(6), peak, 3, eps) == peak
+        v = MultiPeak(SetSystem((peak, ItemSet([4, 5, 6])), 3, eps), 6)
+        rng = random.Random(40)
+        for _ in range(30):
+            prices = PriceVector(tuple(F(rng.randint(0, 2 ** 40), 2 ** 41)
+                                       for _ in range(6)))
+            _agree_with_fraction_route(v, prices)
+
+    def test_polynomial_at_sixty_items(self, monkeypatch):
+        """m = 60, s = 15, k = 4: no table of all 2**60 subsets is built."""
+        def refuse(*args):
+            raise AssertionError("a table over all subsets was asked for")
+
+        monkeypatch.setattr(valuations, "_kept_table", refuse)
+        monkeypatch.setattr(valuations, "all_masks", refuse)
+        monkeypatch.setattr(itemsets, "all_masks", refuse)
+        peaks = tuple(ItemSet(range(15 * i + 1, 15 * i + 16)) for i in range(4))
+        v = MultiPeak(SetSystem(peaks, 15, F(1, 3)), 60)
+        rng = random.Random(60)
+        marked = 0
+        for _ in range(20):
+            prices = PriceVector(tuple(F(rng.randint(0, 100), 1200)
+                                       for _ in range(60)))
+            _, witness = _agree_with_fraction_route(v, prices)
+            marked += len(witness) > 0
+        assert marked > 0
 
 
 class TestClassOracles:

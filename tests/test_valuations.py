@@ -293,6 +293,47 @@ class TestValueTable:
             assert F(int(nums[mask]), denom) == want
 
 
+class TestPeaksOfOtherSizes:
+    """Closeness is |S & T| - |S - T| > eps |T| for the peak T itself, in
+    value and in the table alike, also when |T| is not the peak size."""
+
+    def test_example(self):
+        # {1} against the peak {1, 2, 3}: 1 - 0 > 1/3 * 3 fails, so {1} is
+        # far and worth 1/2 - 1/16.  Testing against s = 2 made it close.
+        system = SetSystem((ItemSet([1, 2, 3]), ItemSet([4, 5])), 2, F(1, 3))
+        v = MultiPeak(system, 5)
+        assert v.value(ItemSet([1])) == F(7, 16)
+        table = value_table(MultiPeak(system, 5))
+        assert F(int(table.nums[1]), table.denom) == F(7, 16)
+
+    def test_value_and_table_agree_pointwise(self):
+        """Equal values at every mask, or the same MalformedSystemError: the
+        table reports the first mask whose value raises."""
+        rng = random.Random(12)
+        raised = 0
+        for _ in range(24):
+            size = rng.randint(2, 4)
+            peaks = tuple(ItemSet(rng.sample(range(1, 9), rng.randint(1, 8)))
+                          for _ in range(rng.randint(1, 3)))
+            eps = F(rng.randint(1, 5), 6)
+            v = MultiPeak(SetSystem(peaks, size, eps), 8)
+            values, first_error = [], None
+            for mask in range(1 << 8):
+                try:
+                    values.append(v.value(ItemSet.from_mask(mask)))
+                except MalformedSystemError as error:
+                    first_error = first_error or str(error)
+            if first_error is None:
+                table = value_table(v)
+                assert [F(n, table.denom) for n in table.nums.tolist()] == values
+            else:
+                raised += 1
+                with pytest.raises(MalformedSystemError) as info:
+                    value_table(v)
+                assert str(info.value) == first_error
+        assert 0 < raised < 24
+
+
 def _assert_table_matches_value(v):
     table = value_table(v)
     assert table.max_abs == max(abs(x) for x in table.nums.tolist())
