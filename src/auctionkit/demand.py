@@ -291,7 +291,8 @@ def algorithm_zero(prices: PriceVector, size: int) -> ItemSet:
     nums[j] * 4 s^2 <= (4 s - 2 r + 1) * denom, the threshold
     1/s - (2r-1)/(4 s^2) in integers.  Sorted prices ascend while the
     threshold strictly descends, so the passing ranks form a prefix and the
-    maximal one meets both printed conditions.
+    maximal one meets both printed conditions.  One sort and one scan:
+    O(m log m).
     """
     if size < 1:
         raise ValueError("size must be positive")
@@ -314,8 +315,9 @@ def algorithm_peak(prices: PriceVector, peak: ItemSet, size: int,
     lhs * 4 s^2 q <= (6 s q - 2 (kappa + l) q + p s) * denom.
     Both orders are taken from one order of all items by (nums[j], j).
     Marked sets are close to this peak by construction, so on well-formed
-    systems their true value is the close-region formula; the best marked
-    set wins, ties broken canonically.
+    systems their true value is the close-region formula, compared here
+    over 4 s^2 q^2 * denom; the best marked set wins, ties broken
+    canonically.  O(m log m + s m).
     """
     eps = Fraction(eps)
     found = _peak_candidate(prices.nums, prices.denom,
@@ -328,12 +330,18 @@ def multipeak_demand(valuation: MultiPeak, prices: PriceVector) -> DemandResult:
     """Polynomial demand oracle: best of the empty set, the far candidate,
     and one candidate per peak, all rescored with the true valuation.
 
-    Everything runs on integers: prices are nums/denom, values are
-    multipeak_num over 4 s^2 q^2 (eps = p/q), evaluated per candidate with
-    no table of all subsets, and the utility is compared over
-    4 s^2 q^2 * denom.  The one Fraction built is the returned maximum.
-    Measured per query at m = 8, 12, 14 (s = m/2 or so, two peaks): about
-    30 us, where a brute-force query takes 38, 60 and 113 us.
+    Everything runs on integers.  The far and peak candidates share one
+    price order and test algorithm_zero's and algorithm_peak's integer
+    inequalities.  Each candidate's true value is multipeak_num over
+    4 s^2 q^2 (eps = p/q), taken for that set alone with no table of all
+    subsets, and utilities are compared over 4 s^2 q^2 * denom.  The one
+    Fraction built is the returned maximum.
+
+    Measured on a 2-CPU Xeon, Python 3.11, best of 5 runs of 50 queries at
+    random sixteenths on gen_multipeak instances with k = 2: 22, 28 and
+    22 us at (m, s) = (8, 4), (12, 6) and (14, 7), where a brute-force
+    query on a built value table takes 40, 55 and 92 us.  At m = 60,
+    s = 15, k = 4, where brute force cannot run, a query takes 0.32 ms.
     """
     if not isinstance(valuation, MultiPeak):
         raise TypeError("multipeak_demand needs a MultiPeak valuation")

@@ -244,7 +244,7 @@ def fraction_algorithm_zero(prices: PriceVector, size: int) -> ItemSet:
 
 
 def fraction_algorithm_peak(prices: PriceVector, peak: ItemSet, size: int,
-                   eps: Fraction) -> Optional[ItemSet]:
+                            eps: Fraction) -> Optional[ItemSet]:
     """Close-regime candidate for one peak, or None when nothing is marked.
 
     For each count l of peak items with eps*s < l <= s, the largest outside
@@ -291,7 +291,8 @@ def fraction_algorithm_peak(prices: PriceVector, peak: ItemSet, size: int,
     return best[2] if best else None
 
 
-def fraction_multipeak_demand(valuation: MultiPeak, prices: PriceVector) -> DemandResult:
+def fraction_multipeak_demand(valuation: MultiPeak,
+                              prices: PriceVector) -> DemandResult:
     """Polynomial demand oracle: best of the empty set, the far candidate,
     and one candidate per peak, all rescored with the true valuation."""
     if not isinstance(valuation, MultiPeak):
