@@ -154,14 +154,25 @@ class DgsRule(_IncrementRule):
         return Raise(result.items, self.increment)
 
 
-def dgs_rule(increment) -> DgsRule:
-    return DgsRule(increment)
+dgs_rule = DgsRule
+
+
+def _shared_items(demands: tuple[DemandResult, ...]) -> ItemSet:
+    """The items in two or more of the reported canonical demand sets."""
+    seen = shared = 0
+    for result in demands:
+        mask = result.witness_set.mask
+        shared |= seen & mask
+        seen |= mask
+    return ItemSet.from_mask(shared)
 
 
 class EnglishAdditiveRule(_IncrementRule):
     """Per-item English auction for additive bidders: raise every item that
     at least two bidders strictly want; once each item has at most one
-    strict demander, give it to that bidder and certify."""
+    strict demander, give it to that bidder and certify.  An additive
+    bidder's canonical demand set is exactly the items it strictly wants,
+    so the engine's reports say who wants what."""
 
     label = "english"
 
@@ -169,24 +180,13 @@ class EnglishAdditiveRule(_IncrementRule):
         for i, v in enumerate(instance.bidders):
             if not isinstance(v, Additive):
                 raise TypeError(f"bidder {i} is not additive")
-        contested = []
-        for j in range(1, instance.num_items + 1):
-            strict = sum(1 for v in instance.bidders
-                         if v.values[j - 1] > prices.price_of(j))
-            if strict >= 2:
-                contested.append(j)
+        contested = _shared_items(demands)
         if contested:
-            return Raise(ItemSet(contested), self.increment)
-        assigned = [
-            ItemSet([j for j in range(1, instance.num_items + 1)
-                     if v.values[j - 1] > prices.price_of(j)])
-            for v in instance.bidders
-        ]
-        return Certify(Allocation(tuple(assigned)))
+            return Raise(contested, self.increment)
+        return Certify(Allocation(tuple(d.witness_set for d in demands)))
 
 
-def english_additive_rule(increment) -> EnglishAdditiveRule:
-    return EnglishAdditiveRule(increment)
+english_additive_rule = EnglishAdditiveRule
 
 
 class GreedySubmodularRule(_IncrementRule):
@@ -200,16 +200,10 @@ class GreedySubmodularRule(_IncrementRule):
         report = envy_free_allocation(instance, prices)
         if report.envy_free:
             return Certify(report.allocation)
-        counts = [0] * instance.num_items
-        for result in demands:
-            for j in result.witness_set:
-                counts[j - 1] += 1
-        hot = ItemSet([j for j in range(1, instance.num_items + 1)
-                       if counts[j - 1] >= 2])
+        hot = _shared_items(demands)
         if len(hot) == 0:
             return Stall()
         return Raise(hot, self.increment)
 
 
-def greedy_submodular_rule(increment) -> GreedySubmodularRule:
-    return GreedySubmodularRule(increment)
+greedy_submodular_rule = GreedySubmodularRule

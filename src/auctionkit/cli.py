@@ -351,13 +351,10 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         payload, code, document = _HANDLERS[args.command](args)
-    except (SchemaError, OSError, ValueError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except RuleViolationError as exc:
         print(f"rule violation: {exc}", file=sys.stderr)
         return 1
-    except AuctionkitError as exc:
+    except (AuctionkitError, OSError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, ArithmeticError) as exc:

@@ -34,6 +34,7 @@ import numpy as np
 from .errors import DemandCapExceededError
 from .itemsets import (EMPTY_SET, ItemSet, bit_reversals, canonical_less,
                        popcounts)
+from .rationals import scale
 from .valuations import (Additive, BudgetAdditive, MultiPeak, UnitDemand,
                          Valuation, _guard_items,
                          close_num, eval_valuation, int_dtype, int_table,
@@ -58,21 +59,17 @@ class PriceVector:
     def __init__(self, prices):
         prices = tuple([p if type(p) is Fraction else Fraction(p)
                         for p in prices])
-        ratios = [p.as_integer_ratio() for p in prices]
-        denom = math.lcm(*[d for _, d in ratios])
-        nums = tuple([n * (denom // d) for n, d in ratios])
+        nums, denom = scale(prices)
         if min(nums, default=0) < 0:
             raise ValueError("prices must be nonnegative")
         # Frozen: the fields are set in the instance dict directly.
         self.__dict__.update(nums=nums, denom=denom, prices=prices)
 
     @classmethod
-    def from_scaled(cls, nums: tuple[int, ...], denom: int,
-                    prices: Optional[tuple[Fraction, ...]] = None
-                    ) -> "PriceVector":
-        """The vector of nums[j] / denom, reduced to canonical form.  prices,
-        when given, must hold the same values as Fractions and becomes the
-        vector's `prices`."""
+    def from_scaled(cls, nums: tuple[int, ...], denom: int) -> "PriceVector":
+        """The vector of nums[j] / denom, reduced to canonical form."""
+        if denom < 1:
+            raise ValueError(f"the denominator must be at least 1, got {denom}")
         if min(nums, default=0) < 0:
             raise ValueError("prices must be nonnegative")
         common = math.gcd(denom, *nums)
@@ -80,8 +77,6 @@ class PriceVector:
             nums, denom = tuple(n // common for n in nums), denom // common
         vector = object.__new__(cls)
         vector.__dict__.update(nums=nums, denom=denom)
-        if prices is not None:
-            vector.__dict__["prices"] = prices
         return vector
 
     @classmethod

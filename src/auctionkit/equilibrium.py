@@ -243,7 +243,6 @@ def minimal_envy_free(instance, bound: Fraction, step: Fraction) -> list[PriceVe
         raise GridTooLargeError(
             f"{levels ** m} grid points exceed the safety limit of "
             f"{MAX_GRID_POINTS}")
-    lattice = [step * k for k in range(levels)]
     num, den = step.numerator, step.denominator
     minimal: list[PriceVector] = []
     # The lattice indices of the minimal points: a point's prices are its
@@ -260,8 +259,7 @@ def minimal_envy_free(instance, bound: Fraction, step: Fraction) -> list[PriceVe
     for point in itertools.product(range(levels), repeat=m):
         if any(all(map(operator.le, corner, point)) for corner in corners):
             continue
-        p = PriceVector.from_scaled(tuple(k * num for k in point), den,
-                                    tuple(lattice[k] for k in point))
+        p = PriceVector.from_scaled(tuple(k * num for k in point), den)
         if is_price_envy_free(instance, p):
             minimal.append(p)
             corners.append(point)

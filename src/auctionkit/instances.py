@@ -136,8 +136,7 @@ def _draw_system(rng: random.Random, m: int, s: int, k: int,
 
 
 def gen_multipeak(m: int, s: int, k: int, eps: Fraction, n: int, seed: int,
-                  share_system: bool = True,
-                  max_retries: int = MAX_GENERATION_RETRIES) -> Instance:
+                  share_system: bool = True) -> Instance:
     """n multi-peak bidders; one shared peak system, or one drawn per bidder."""
     eps = Fraction(eps)
     if not (0 < eps < 1):
@@ -157,7 +156,7 @@ def gen_multipeak(m: int, s: int, k: int, eps: Fraction, n: int, seed: int,
             f"{k} peaks of size {s} with pairwise overlap at most "
             f"{overlap_cap} cannot fit in {m} items")
     rng = random.Random(seed)
-    budget = [max_retries]
+    budget = [MAX_GENERATION_RETRIES]
     if share_system:
         system = _draw_system(rng, m, s, k, eps, budget)
         bidders = tuple(MultiPeak(system, m) for _ in range(n))

@@ -1,4 +1,5 @@
-"""Canonical text form for exact rationals: "num/den" strings, integer shorthand."""
+"""Exact rationals: the canonical "num/den" text form with integer shorthand,
+and the one conversion of rationals to integers over a common denominator."""
 
 from __future__ import annotations
 
@@ -48,6 +49,18 @@ def format_rational(value: Fraction) -> Union[int, str]:
     if value.denominator == 1:
         return int(value)
     return f"{value.numerator}/{value.denominator}"
+
+
+def scale(values) -> tuple[tuple[int, ...], int]:
+    """Rationals (Fractions or ints) as integers over one denominator.
+
+    Returns (nums, denom) with denom the LCM of the values' reduced
+    denominators (1 for no values) and nums[i] = values[i] * denom, so
+    gcd(denom, *nums) is 1.
+    """
+    ratios = [v.as_integer_ratio() for v in values]
+    denom = math.lcm(*[d for _, d in ratios])
+    return tuple([n * (denom // d) for n, d in ratios]), denom
 
 
 def format_scaled(num: int, denom: int) -> Union[int, str]:

@@ -1,15 +1,16 @@
 """Valuation classes over item sets, exact evaluation, and exhaustive validators.
 
-Every value is an exact rational (fractions.Fraction); nothing is rounded,
-so ties between bundles are decided exactly.  The multi-peak family follows
-its defining piecewise formulas verbatim even where those formulas violate
-monotonicity; check_monotone / check_submodular are the authority on
-structure, and callers are expected to consult them rather than assume.
+Every value is exact: a fractions.Fraction, or in a value table an integer
+over the table's one denominator (rationals.scale converts the first into
+the second).  Nothing is rounded, so ties between bundles are decided
+exactly.  The multi-peak family follows its defining piecewise formulas
+verbatim even where those formulas violate monotonicity; check_monotone /
+check_submodular are the authority on structure, and callers are expected
+to consult them rather than assume.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -19,6 +20,7 @@ import numpy as np
 
 from .errors import GroundSetTooLargeError, MalformedSystemError
 from .itemsets import ItemSet, all_masks, popcounts
+from .rationals import scale
 
 # 2**20 subsets is about the largest table that stays in desk-scale seconds.
 MAX_EXHAUSTIVE_ITEMS = 20
@@ -28,12 +30,9 @@ MAX_EXHAUSTIVE_ITEMS = 20
 _INT64_GUARD = 1 << 60
 
 
-def _fraction_tuple(values, *, what: str = "item values") -> tuple[Fraction, ...]:
+def _fractions(values) -> tuple[Fraction, ...]:
     """Values as exact Fractions; a Fraction already is one and is kept."""
-    out = tuple(v if type(v) is Fraction else Fraction(v) for v in values)
-    if any(v.numerator < 0 for v in out):
-        raise ValueError(f"{what} must be nonnegative")
-    return out
+    return tuple([v if type(v) is Fraction else Fraction(v) for v in values])
 
 
 def _check_bundle(bundle: ItemSet, num_items: int) -> None:
@@ -167,17 +166,25 @@ def far_region_value(cardinality: int, size: int) -> Fraction:
 
 
 @dataclass(frozen=True)
-class Additive:
-    """v(S) = sum of per-item values."""
+class _ItemValues:
+    """The base of the classes given by one nonnegative value per item."""
 
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _fraction_tuple(self.values))
+        values = _fractions(self.values)
+        if any(v.numerator < 0 for v in values):
+            raise ValueError("item values must be nonnegative")
+        object.__setattr__(self, "values", values)
 
     @property
     def num_items(self) -> int:
         return len(self.values)
+
+
+@dataclass(frozen=True)
+class Additive(_ItemValues):
+    """v(S) = sum of per-item values."""
 
     def value(self, bundle: ItemSet) -> Fraction:
         _check_bundle(bundle, self.num_items)
@@ -185,17 +192,8 @@ class Additive:
 
 
 @dataclass(frozen=True)
-class UnitDemand:
+class UnitDemand(_ItemValues):
     """v(S) = best single item in S."""
-
-    values: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _fraction_tuple(self.values))
-
-    @property
-    def num_items(self) -> int:
-        return len(self.values)
 
     def value(self, bundle: ItemSet) -> Fraction:
         _check_bundle(bundle, self.num_items)
@@ -203,21 +201,16 @@ class UnitDemand:
 
 
 @dataclass(frozen=True)
-class BudgetAdditive:
+class BudgetAdditive(_ItemValues):
     """v(S) = min(budget, sum of per-item values)."""
 
-    values: tuple[Fraction, ...]
     budget: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _fraction_tuple(self.values))
+        super().__post_init__()
         object.__setattr__(self, "budget", Fraction(self.budget))
         if self.budget < 0:
             raise ValueError("budget must be nonnegative")
-
-    @property
-    def num_items(self) -> int:
-        return len(self.values)
 
     def value(self, bundle: ItemSet) -> Fraction:
         _check_bundle(bundle, self.num_items)
@@ -274,13 +267,8 @@ class Explicit:
     table: tuple[Fraction, ...]
 
     def __init__(self, num_items: int, table):
-        table = _fraction_tuple(table, what="table values")
-        _guard_items(num_items, "an explicit table")
-        if len(table) != 1 << num_items:
-            raise ValueError(
-                f"table must have {1 << num_items} entries, got {len(table)}")
-        if table[0] != 0:
-            raise ValueError("the empty set must have value 0")
+        table = _fractions(table)
+        _check_table(num_items, table, 1)
         object.__setattr__(self, "num_items", num_items)
         self.__dict__["table"] = table
 
@@ -289,14 +277,7 @@ class Explicit:
                     denom: int) -> "Explicit":
         """The valuation with value(mask) = nums[mask] / denom; the checks
         and messages are the constructor's."""
-        _guard_items(num_items, "an explicit table")
-        if len(nums) != 1 << num_items:
-            raise ValueError(
-                f"table must have {1 << num_items} entries, got {len(nums)}")
-        if min(nums) < 0:
-            raise ValueError("table values must be nonnegative")
-        if nums[0] != 0:
-            raise ValueError("the empty set must have value 0")
+        _check_table(num_items, nums, denom)
         valuation = object.__new__(cls)
         object.__setattr__(valuation, "num_items", num_items)
         _keep_table(valuation, int_table(nums), denom)
@@ -311,6 +292,20 @@ class Explicit:
         _check_bundle(bundle, self.num_items)
         kept = _kept_table(self)
         return Fraction(int(kept.nums[bundle.mask]), kept.denom)
+
+
+def _check_table(num_items: int, entries, denom: int) -> None:
+    """Explicit's checks, in order, of the table entries[mask] / denom."""
+    _guard_items(num_items, "an explicit table")
+    if denom < 1:
+        raise ValueError(f"the denominator must be at least 1, got {denom}")
+    if len(entries) != 1 << num_items:
+        raise ValueError(
+            f"table must have {1 << num_items} entries, got {len(entries)}")
+    if min(entries) < 0:
+        raise ValueError("table values must be nonnegative")
+    if entries[0] != 0:
+        raise ValueError("the empty set must have value 0")
 
 
 Valuation = Union[Additive, UnitDemand, BudgetAdditive, MultiPeak, Explicit]
@@ -362,21 +357,6 @@ def int_dtype(bound: int):
     bound in magnitude and bound leaves int64 headroom, else object dtype
     (exact Python ints)."""
     return np.int64 if bound < _INT64_GUARD else object
-
-
-def scaled_table(values, fold=None, cap: Optional[Fraction] = None
-                 ) -> tuple[np.ndarray, int]:
-    """Nonnegative rationals as exact integers over one common denominator.
-
-    Returns (int_table(nums, fold, cap * denom), denom) with denom the LCM
-    of every denominator and nums[i] = values[i] * denom.
-    """
-    parts = list(values) if cap is None else [*values, cap]
-    ratios = [v.as_integer_ratio() for v in parts]
-    denom = math.lcm(*(d for _, d in ratios))
-    nums = [n * (denom // d) for n, d in ratios]
-    cap_num = None if cap is None else nums.pop()
-    return int_table(nums, fold, cap_num), denom
 
 
 def int_table(nums, fold=None, cap: Optional[int] = None) -> np.ndarray:
@@ -443,13 +423,17 @@ def _keep_table(valuation: Valuation, nums: np.ndarray,
 
 def _scaled_values(valuation: Valuation) -> tuple[np.ndarray, int]:
     if isinstance(valuation, Additive):
-        return scaled_table(valuation.values, np.add)
+        nums, denom = scale(valuation.values)
+        return int_table(nums, np.add), denom
     if isinstance(valuation, BudgetAdditive):
-        return scaled_table(valuation.values, np.add, cap=valuation.budget)
+        (*nums, cap), denom = scale((*valuation.values, valuation.budget))
+        return int_table(nums, np.add, cap), denom
     if isinstance(valuation, UnitDemand):
-        return scaled_table(valuation.values, np.maximum)
+        nums, denom = scale(valuation.values)
+        return int_table(nums, np.maximum), denom
     if isinstance(valuation, Explicit):
-        return scaled_table(valuation.table)
+        nums, denom = scale(valuation.table)
+        return int_table(nums), denom
     if isinstance(valuation, MultiPeak):
         return _multipeak_scaled(valuation)
     raise TypeError(f"unknown valuation class {type(valuation).__name__}")

@@ -12,9 +12,9 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Optional
 
-from auctionkit import (EMPTY_SET, DemandResult, ItemSet, MultiPeak,
-                        PriceVector, close_region_value, eval_valuation,
-                        utility)
+from auctionkit import (EMPTY_SET, Additive, Allocation, Certify,
+                        DemandResult, ItemSet, MultiPeak, PriceVector, Raise,
+                        close_region_value, eval_valuation, utility)
 
 
 def all_subsets(num_items):
@@ -312,3 +312,26 @@ def fraction_multipeak_demand(valuation: MultiPeak,
                                 and canonical_key(cand) < canonical_key(best_set)):
             best_set, best_gain = cand, gain
     return DemandResult(best_gain, best_set, argmax_count=None)
+
+
+class MarginEnglishRule:
+    """The per-item English auction decided from each bidder's margins
+    v_j - p_j as Fractions, ignoring the engine's demand reports: raise every
+    item that two or more bidders strictly want, else give each bidder the
+    items it strictly wants and certify."""
+
+    def __init__(self, increment):
+        self.increment = Fraction(increment)
+
+    def __call__(self, instance, prices, demands):
+        for i, v in enumerate(instance.bidders):
+            if not isinstance(v, Additive):
+                raise TypeError(f"bidder {i} is not additive")
+        items = range(1, instance.num_items + 1)
+        wants = [[j for j in items if v.values[j - 1] > prices.prices[j - 1]]
+                 for v in instance.bidders]
+        contested = [j for j in items
+                     if sum(j in wanted for wanted in wants) >= 2]
+        if contested:
+            return Raise(ItemSet(contested), self.increment)
+        return Certify(Allocation(tuple(ItemSet(w) for w in wants)))

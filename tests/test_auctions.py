@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from auctionkit import (Additive, Allocation, Certify, EMPTY_SET, Instance,
                         ItemSet, PriceVector, Raise, Stall, UnitDemand,
@@ -13,6 +15,12 @@ from auctionkit import (Additive, Allocation, Certify, EMPTY_SET, Instance,
 from auctionkit.auctions import (EnvyFreeOutcome, StalledOutcome,
                                  StepLimitOutcome)
 from auctionkit.errors import RuleViolationError
+
+from reference import MarginEnglishRule
+
+# Sixths, halves, thirds and integers up to 5: with increments 1, 1/2 and
+# 1/3 prices meet values often, so margins of exactly zero (ties) are common.
+ADDITIVE_VALUES = st.builds(F, st.integers(0, 30), st.sampled_from([1, 2, 3, 6]))
 
 
 class TestEngineContract:
@@ -145,6 +153,21 @@ class TestEnglishAdditiveRule:
                                 reverse=True)
                 second = values[1] if len(values) > 1 else F(0)
                 assert trace.outcome.prices.price_of(j) == second
+
+    @given(st.integers(1, 4).flatmap(lambda m: st.lists(
+               st.lists(ADDITIVE_VALUES, min_size=m, max_size=m),
+               min_size=1, max_size=4)),
+           st.sampled_from([F(1), F(1, 2), F(1, 3)]))
+    @example([[F(1), F(1, 2)], [F(1), F(1, 2)]], F(1, 2))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_margin_route(self, values, increment):
+        """The rule reads the engine's demand reports; tests/reference.py
+        decides from Fraction margins.  The traces are the same bytes."""
+        inst = Instance(len(values[0]), tuple(Additive(tuple(v)) for v in values))
+        ours = run_ascending(inst, english_additive_rule(increment), 400)
+        theirs = run_ascending(inst, MarginEnglishRule(increment), 400)
+        assert isinstance(ours.outcome, EnvyFreeOutcome)
+        assert serialize_trace(ours) == serialize_trace(theirs)
 
 
 class TestGreedySubmodularRule:

@@ -830,6 +830,15 @@ class TestPriceVectorAgainstFractions:
         assert p.raised(ItemSet(), F(1, 2)) == p
         _agrees(p, ref)
 
+    @pytest.mark.parametrize("denom", [-2, 0])
+    def test_from_scaled_refuses_a_denominator_below_one(self, denom):
+        """(1,) over -2 would be the price -1/2, past the sign check on the
+        numerators; over 0 it would fail only on the first read of prices."""
+        with pytest.raises(ValueError) as info:
+            PriceVector.from_scaled((1,), denom)
+        assert str(info.value) == \
+            f"the denominator must be at least 1, got {denom}"
+
     def test_refusals_unchanged(self):
         with pytest.raises(ValueError, match="prices must be nonnegative"):
             PriceVector((F(1), F(-1, 3)))

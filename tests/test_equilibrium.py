@@ -355,8 +355,8 @@ class TestMinimalEnvyFree:
         built = []
         make = PriceVector.from_scaled
 
-        def spy(cls, nums, denom, prices=None):
-            built.append(make(nums, denom, prices))
+        def spy(cls, nums, denom):
+            built.append(make(nums, denom))
             return built[-1]
 
         monkeypatch.setattr(PriceVector, "from_scaled", classmethod(spy))

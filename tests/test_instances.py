@@ -469,8 +469,8 @@ class TestDecodedTables:
     @pytest.mark.parametrize("table", TABLES.values(), ids=list(TABLES))
     def test_decoded_equals_built(self, monkeypatch, table):
         scaled = []
-        scale = auctionkit.valuations.scaled_table
-        monkeypatch.setattr(auctionkit.valuations, "scaled_table",
+        scale = auctionkit.valuations.scale
+        monkeypatch.setattr(auctionkit.valuations, "scale",
                             lambda *args: scaled.append(args) or scale(*args))
         decoded = decode_instance(_explicit_doc(table)).bidders[0]
         assert scaled == []
@@ -479,6 +479,8 @@ class TestDecodedTables:
         for mask in range(1 << m):
             bundle = ItemSet.from_mask(mask)
             assert decoded.value(bundle) == built.value(bundle) == table[mask]
+        # Only the table built from Fractions was converted, once.
+        assert len(scaled) == 1
         # value reads the integers; the Fractions are built on request.
         assert "table" not in vars(decoded)
         mine, theirs = value_table(decoded), value_table(built)
@@ -509,6 +511,12 @@ class TestDecodedTables:
         (2, (0, 1), ValueError, "table must have 4 entries, got 2"),
         (21, (), GroundSetTooLargeError,
          "an explicit table is limited to 20 items, got 21"),
+        # A table with two faults: both constructors report the first of
+        # one order of checks (size, length, sign, empty set).
+        (21, (0, -1), GroundSetTooLargeError,
+         "an explicit table is limited to 20 items, got 21"),
+        (2, (1, -1), ValueError, "table must have 4 entries, got 2"),
+        (1, (1, -1), ValueError, "table values must be nonnegative"),
     ])
     def test_both_constructors_refuse_alike(self, m, table, error, message):
         with pytest.raises(error) as built:
@@ -516,6 +524,16 @@ class TestDecodedTables:
         with pytest.raises(error) as scaled:
             Explicit.from_scaled(m, list(table), 1)
         assert str(built.value) == str(scaled.value) == message
+
+    @pytest.mark.parametrize("denom", [-1, 0])
+    def test_from_scaled_refuses_a_denominator_below_one(self, denom):
+        """A negative denominator would turn nonnegative integers into
+        negative values that check_monotone, reading the integers, passes;
+        a zero one would fail only on the first read of a value."""
+        with pytest.raises(ValueError) as info:
+            Explicit.from_scaled(1, [0, 1], denom)
+        assert str(info.value) == \
+            f"the denominator must be at least 1, got {denom}"
 
 
 class TestDocumentReader:

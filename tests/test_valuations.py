@@ -14,7 +14,8 @@ from auctionkit import (Additive, BudgetAdditive, Explicit, Instance, ItemSet,
                         eval_valuation, find_close_peak, gen_multipeak,
                         validate_set_system)
 from auctionkit.errors import GroundSetTooLargeError, MalformedSystemError
-from auctionkit.valuations import (scaled_table, submodular_by_definition,
+from auctionkit.rationals import scale
+from auctionkit.valuations import (int_table, submodular_by_definition,
                                    submodular_by_marginals, value_table)
 
 from reference import (all_subsets, naive_decreasing_marginals,
@@ -276,12 +277,15 @@ class TestValueTable:
                                               (np.add, True)])
     @pytest.mark.parametrize("top", [9, 1 << 70])
     def test_scaled_table_matches_per_mask_fold(self, fold, capped, top):
-        """The in-place doubling against folding each mask's items one at a
-        time, in int64 and, with values past 2**63, in object dtype."""
+        """int_table's in-place doubling on the integers scale gives, against
+        folding each mask's items one at a time, in int64 and, with values
+        past 2**63, in object dtype."""
         rng = random.Random(top)
         values = [F(rng.randint(0, top), rng.randint(1, 6)) for _ in range(7)]
         cap = sum(values) / 2 if capped else None
-        nums, denom = scaled_table(values, fold, cap)
+        scaled, denom = scale([*values, cap] if capped else values)
+        cap_num = scaled[-1] if capped else None
+        nums = int_table(scaled[:len(values)], fold, cap_num)
         assert nums.dtype == (np.int64 if top < 1 << 60 else object)
         for mask in range(1 << len(values)):
             want = F(0)
