@@ -95,14 +95,19 @@ class PriceVector:
     def num_items(self) -> int:
         return len(self.nums)
 
+    def _unpriced(self, item: int) -> ValueError:
+        return ValueError(f"item {item} has no price (ground set has "
+                          f"{self.num_items} items)")
+
     def price_of(self, item: int) -> Fraction:
+        """The price of item 1..m; any other item is refused."""
+        if not 1 <= item <= self.num_items:
+            raise self._unpriced(item)
         return self.prices[item - 1]
 
     def total(self, bundle: ItemSet) -> Fraction:
         if bundle.max_item() > self.num_items:
-            raise ValueError(
-                f"item {bundle.max_item()} has no price (ground set has "
-                f"{self.num_items} items)")
+            raise self._unpriced(bundle.max_item())
         nums = self.nums
         return Fraction(sum(nums[j - 1] for j in bundle), self.denom)
 

@@ -130,23 +130,13 @@ def _overdemanded(demanded: list[list[int]], items: ItemSet) -> list[int]:
             if wants and all(j in items for j in wants)]
 
 
-def unit_demand_envy_free(instance, prices: PriceVector) -> Union[Allocation, Witness]:
-    """Matching route for all-unit-demand instances.
+def _match_demanders(demanded: list[list[int]]) -> dict[int, int]:
+    """A maximum matching of bidders to their demanded items, item -> bidder.
 
-    Bidders with positive maximum utility must each receive one of their
-    demanded items; everyone else is content with the empty set.  A perfect
-    matching on the demanders yields an allocation; otherwise an
-    inclusion-minimal overdemanded item set is extracted from the
-    Koenig-style deficiency set and returned as the witness.
+    Augmenting paths from each demander in bidder order, trying its items
+    in increasing order; a demander left out of the result is unmatched.
     """
-    for i, v in enumerate(instance.bidders):
-        if not isinstance(v, UnitDemand):
-            raise TypeError(f"bidder {i} is not unit-demand")
-    demanded = _demanded_items(instance, prices)
-    demanders = [i for i, wants in enumerate(demanded) if wants]
-
     match_of_item: dict[int, int] = {}
-    match_of_bidder: dict[int, int] = {}
 
     def augment(bidder: int, seen: set[int]) -> bool:
         for j in demanded[bidder]:
@@ -156,14 +146,35 @@ def unit_demand_envy_free(instance, prices: PriceVector) -> Union[Allocation, Wi
             holder = match_of_item.get(j)
             if holder is None or augment(holder, seen):
                 match_of_item[j] = bidder
-                match_of_bidder[bidder] = j
                 return True
         return False
 
-    for bidder in demanders:
-        augment(bidder, set())
+    for bidder, wants in enumerate(demanded):
+        if wants:
+            augment(bidder, set())
+    return match_of_item
 
-    unmatched = [i for i in demanders if i not in match_of_bidder]
+
+def unit_demand_envy_free(instance, prices: PriceVector) -> Union[Allocation, Witness]:
+    """Matching route for all-unit-demand instances, with its evidence.
+
+    Bidders with positive maximum utility must each receive one of their
+    demanded items; everyone else is content with the empty set.  A perfect
+    matching on the demanders yields an allocation; otherwise an
+    inclusion-minimal overdemanded item set is extracted from the
+    Koenig-style deficiency set and returned as the witness.  This is the
+    route that builds witnesses (the DGS rule raises prices on them);
+    `is_price_envy_free` runs the same matching and builds neither.
+    """
+    for i, v in enumerate(instance.bidders):
+        if not isinstance(v, UnitDemand):
+            raise TypeError(f"bidder {i} is not unit-demand")
+    demanded = _demanded_items(instance, prices)
+    match_of_item = _match_demanders(demanded)
+    match_of_bidder = {bidder: j for j, bidder in match_of_item.items()}
+
+    unmatched = [i for i, wants in enumerate(demanded)
+                 if wants and i not in match_of_bidder]
     if not unmatched:
         assigned = tuple(
             ItemSet([match_of_bidder[i]]) if i in match_of_bidder else EMPTY_SET
@@ -209,9 +220,16 @@ def _all_unit_demand(instance) -> bool:
 
 
 def is_price_envy_free(instance, prices: PriceVector) -> bool:
-    """Decision form; uses the matching route when every bidder is unit-demand."""
+    """Decision form: whether some envy-free allocation exists at `prices`.
+
+    When every bidder is unit-demand it runs the matching of
+    `unit_demand_envy_free` and only asks whether every demander is
+    matched, building no allocation and no witness; otherwise it asks the
+    backtracking search.
+    """
     if _all_unit_demand(instance):
-        return isinstance(unit_demand_envy_free(instance, prices), Allocation)
+        demanded = _demanded_items(instance, prices)
+        return len(_match_demanders(demanded)) == sum(map(bool, demanded))
     return envy_free_allocation(instance, prices).envy_free
 
 

@@ -1,0 +1,83 @@
+"""The paired-run summary of tools/bench_pairs.py: quartiles, pairs won,
+and the bound and spread tests, on hand-made reports."""
+
+import argparse
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+CONTRACT = [
+    {"name": "tasks_per_s", "better": "higher", "bound": 0.25},
+    {"name": "peak_rss_mib", "better": "lower", "bound": 0.1},
+]
+
+
+def _report(rate, rss, passes, digest="d1"):
+    return {"metrics": {"tasks_per_s": {"value": rate, "unit": "1/s"},
+                        "peak_rss_mib": {"value": rss, "unit": "MiB"}},
+            "meta": {"passes": passes, "results_sha256": digest, "failed": 0}}
+
+
+def _side(rates, rss):
+    return bench_pairs.summarise_side(
+        [_report(r, m, 10) for r, m in zip(rates, rss)],
+        ["tasks_per_s", "peak_rss_mib"])
+
+
+def test_spread_is_inclusive_quartiles():
+    assert bench_pairs.spread([1.0, 2.0, 3.0, 4.0, 5.0]) == \
+        {"median": 3.0, "q1": 2.0, "q3": 4.0}
+    assert bench_pairs.spread([7.0]) == {"median": 7.0, "q1": 7.0, "q3": 7.0}
+
+
+def test_summary_keeps_every_run_and_digest():
+    side = bench_pairs.summarise_side(
+        [_report(10, 40, 3), _report(12, 41, 4, digest="d2")],
+        ["tasks_per_s", "peak_rss_mib"])
+    assert side["metrics"]["tasks_per_s"]["runs"] == [10, 12]
+    assert side["metrics"]["tasks_per_s"]["unit"] == "1/s"
+    assert side["passes"] == [3, 4]
+    assert side["results_sha256"] == ["d1", "d2"]
+
+
+def test_compare_counts_pairs_and_checks_bounds():
+    parent = _side([100, 102, 98, 101], [40, 40, 40, 40])
+    change = _side([130, 99, 131, 129], [45, 45, 45, 45])
+    result = bench_pairs.compare(parent, change, CONTRACT)
+    assert result["pairs"] == 4
+    assert result["pairs_won_by_change"] == {"tasks_per_s": 3, "peak_rss_mib": 0}
+    assert result["no_regression_check"]["tasks_per_s"] == "within bound"
+    assert result["no_regression_check"]["peak_rss_mib"].startswith("worse by 12.5%")
+    assert result["median_gain_exceeds_parent_iqr"] == \
+        {"tasks_per_s": True, "peak_rss_mib": False}
+    assert result["median_change_pct"]["peak_rss_mib"] == 12.5
+
+
+def test_a_gain_inside_the_parent_spread_does_not_count():
+    parent = _side([90, 100, 110, 120], [40] * 4)
+    change = _side([101, 106, 111, 121], [40] * 4)
+    result = bench_pairs.compare(parent, change, CONTRACT)
+    assert result["pairs_won_by_change"]["tasks_per_s"] == 4
+    assert not result["median_gain_exceeds_parent_iqr"]["tasks_per_s"]
+
+
+def test_a_spread_wider_than_the_bound_is_unresolved():
+    parent = _side([60, 100, 140, 180], [40] * 4)
+    change = _side([70, 100, 150, 170], [40] * 4)
+    result = bench_pairs.compare(parent, change, CONTRACT)
+    assert result["no_regression_check"]["tasks_per_s"].startswith("unresolved")
+    clear = bench_pairs.compare(parent, _side([190, 200, 210, 220], [40] * 4),
+                                CONTRACT)
+    assert clear["no_regression_check"]["tasks_per_s"] == "within bound"
+
+
+def test_plan_cells_parse():
+    assert bench_pairs.parse_plan("ud_grid:1:3") == ("ud_grid", 1, 3)
+    with pytest.raises(argparse.ArgumentTypeError, match="WORKLOAD:SEED:PAIRS"):
+        bench_pairs.parse_plan("ud_grid:1")

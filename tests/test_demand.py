@@ -731,6 +731,19 @@ class TestPriceVector:
         p = PriceVector.zero(3).raised(ItemSet([1, 3]), F(1, 2))
         assert p.prices == (F(1, 2), F(0), F(1, 2))
 
+    def test_price_of_each_item(self):
+        p = PriceVector((F(1), F(1, 2), F(3)))
+        assert [p.price_of(j) for j in (1, 2, 3)] == [F(1), F(1, 2), F(3)]
+
+    @pytest.mark.parametrize("item", [0, -1, 4, 5])
+    def test_price_of_refuses_items_outside_the_ground_set(self, item):
+        """Item 0 must not read the last price by negative indexing, and
+        item m+1 is refused as `total` refuses it, not by IndexError."""
+        p = PriceVector((F(1), F(1, 2), F(3)))
+        with pytest.raises(ValueError, match=f"item {item} has no price "
+                           r"\(ground set has 3 items\)"):
+            p.price_of(item)
+
 
 # Prices with denominators up to 2**40, with small ones and halves mixed in
 # so that sums collapse denominators.

@@ -98,6 +98,25 @@ def _unit_or_explicit_grid(draw):
         st.sampled_from((F(0), F(1, 3), F(1))))
 
 
+# Halves and thirds share 0, 1, 2 and 3, so values and prices often tie.
+HALVES_AND_THIRDS = st.one_of(st.integers(0, 6).map(lambda k: F(k, 2)),
+                              st.integers(0, 9).map(lambda k: F(k, 3)))
+
+
+@st.composite
+def _unit_demand_at_prices(draw):
+    """Up to five unit-demand bidders (possibly none) on up to five items,
+    and prices, all in halves and thirds."""
+    m = draw(st.integers(1, 5))
+    bidders = tuple(
+        UnitDemand(tuple(draw(st.lists(HALVES_AND_THIRDS, min_size=m,
+                                       max_size=m))))
+        for _ in range(draw(st.integers(0, 5))))
+    prices = PriceVector(tuple(draw(st.lists(HALVES_AND_THIRDS, min_size=m,
+                                             max_size=m))))
+    return Instance(m, bidders), prices
+
+
 def _item_seekers():
     """Three explicit bidders on m=3; the k-th values a set at 3 when it
     holds item k and at 0 otherwise, so ({1}, {2}, {3}) is envy-free at
@@ -216,6 +235,35 @@ class TestUnitDemandEnvyFree:
                 for bidder, bundle in zip(inst.bidders, result.assigned):
                     assert utility(bidder, prices, bundle) == \
                         brute_force_demand(bidder, prices).max_utility
+
+
+class TestDecisionRoute:
+    """On all-unit-demand instances `is_price_envy_free` decides by the
+    matching alone; the witness route and the backtracking search must
+    reach the same answer."""
+
+    @given(_unit_demand_at_prices())
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_witness_route_and_search(self, case):
+        inst, prices = case
+        decided = is_price_envy_free(inst, prices)
+        assert decided == isinstance(unit_demand_envy_free(inst, prices),
+                                     Allocation)
+        assert decided == envy_free_allocation(inst, prices).envy_free
+
+    def test_grid_scan_builds_no_witness(self, monkeypatch):
+        calls = []
+        route = equilibrium.unit_demand_envy_free
+
+        def spy(instance, prices):
+            calls.append(prices)
+            return route(instance, prices)
+
+        inst = gen_unit_demand(3, 3, (0, 5), seed=8)
+        monkeypatch.setattr(equilibrium, "unit_demand_envy_free", spy)
+        points = minimal_envy_free(inst, F(5), F(1))
+        assert points
+        assert calls == []
 
 
 class TestMinimalEnvyFree:
