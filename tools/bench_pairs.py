@@ -1,17 +1,18 @@
 """Run the benchmark on two commits in alternating pairs and summarise them.
 
     python3 tools/bench_pairs.py PARENT CHANGE --out BENCH_<n>.json \\
-        [--plan WORKLOAD:SEED:PAIRS ...] [--seconds 40] [--traced] [--scratch DIR]
+        [--plan WORKLOAD:SEED:PAIRS ...] [--scratch DIR]
 
 Each commit is checked out from local git history (`git archive`, so only
 committed files) into its own directory under the scratch directory, and
-`perfbench/run.py` runs from there.  Every plan cell runs PAIRS pairs; the
-parent goes first in even pairs and the change first in odd ones, and pair k
+`perfbench/run.py` runs from there for the `run_seconds` that
+`BENCHMARK.json` sets.  Every plan cell runs PAIRS pairs; the parent goes
+first in even pairs and the change first in odd ones, and pair k
 of every cell runs before pair k+1 of any.  Each run's report file is copied
 as soon as the run ends, before the next run of the same workload and seed
 replaces it, so the pass count and results digest of every run are kept.
-With --traced, each cell's workload and seed also gets one traced run per
-side, and the count metrics of both sides are recorded side by side.
+Each cell's workload and seed then gets one traced run per side, and the
+count metrics of both sides are recorded side by side.
 
 The output holds, per cell and side, every run's end-to-end metrics,
 passes and digest, their medians and quartiles (inclusive method), and the
@@ -152,8 +153,6 @@ def main(argv=None) -> int:
     parser.add_argument("--plan", action="append", type=parse_plan,
                         help="WORKLOAD:SEED:PAIRS (repeatable; default every "
                              f"workload at seed 0, {DEFAULT_PAIRS} pairs)")
-    parser.add_argument("--seconds", type=float, default=40)
-    parser.add_argument("--traced", action="store_true")
     parser.add_argument("--scratch", type=Path)
     args = parser.parse_args(argv)
 
@@ -166,6 +165,7 @@ def main(argv=None) -> int:
     plan = args.plan or [(entry["name"], 0, DEFAULT_PAIRS)
                          for entry in contract["workloads"]]
     names = [entry["name"] for entry in contract["end_to_end"]]
+    seconds = contract["run_seconds"]
 
     reports = {(w, s): {side: [] for side in SIDES} for w, s, _ in plan}
     for pair in range(max(pairs for _, _, pairs in plan)):
@@ -175,7 +175,7 @@ def main(argv=None) -> int:
                 continue
             for side in order:
                 keep = scratch / "reports" / f"{workload}-seed{seed}-pair{pair}-{side}.json"
-                report = run_once(checkouts[side], workload, seed, args.seconds, 0, keep)
+                report = run_once(checkouts[side], workload, seed, seconds, 0, keep)
                 reports[workload, seed][side].append(report)
                 rate = report["metrics"]["tasks_per_s"]["value"]
                 print(f"pair {pair} {workload} seed {seed} {side}: "
@@ -191,7 +191,7 @@ def main(argv=None) -> int:
     host = reports[plan[0][0], plan[0][1]]["parent"][0]["meta"]
     result = {
         "command": f"python3 perfbench/run.py --workload <w> --seed <s> "
-                   f"--seconds {args.seconds:g} --trace 0",
+                   f"--seconds {seconds:g} --trace 0",
         "commits": commits,
         "plan": [{"workload": w, "seed": s, "pairs": p} for w, s, p in plan],
         "order": "alternating pairs; even pairs run the parent first, odd pairs "
@@ -199,21 +199,18 @@ def main(argv=None) -> int:
         "host": {key: host[key] for key in ("cpu_model", "nproc", "python", "numpy")},
         "cells": cells,
     }
-    if args.traced:
-        traced = {}
-        for workload, seed in reports:
-            counts = {}
-            digests = {}
-            for side in SIDES:
-                keep = scratch / "reports" / f"{workload}-seed{seed}-traced-{side}.json"
-                report = run_once(checkouts[side], workload, seed, args.seconds, 1, keep)
-                counts[side] = traced_counts(report)
-                digests[side] = report["meta"]["results_sha256"]
-            traced[f"{workload} seed {seed}"] = {
-                "results_sha256": digests, "counts": counts,
-                "changed": sorted(name for name in counts["parent"]
-                                  if counts["parent"][name] != counts["change"].get(name))}
-        result["traced"] = traced
+    traced = result["traced"] = {}
+    for workload, seed in reports:
+        counts, digests = {}, {}
+        for side in SIDES:
+            keep = scratch / "reports" / f"{workload}-seed{seed}-traced-{side}.json"
+            report = run_once(checkouts[side], workload, seed, seconds, 1, keep)
+            counts[side] = traced_counts(report)
+            digests[side] = report["meta"]["results_sha256"]
+        traced[f"{workload} seed {seed}"] = {
+            "results_sha256": digests, "counts": counts,
+            "changed": sorted(name for name in counts["parent"]
+                              if counts["parent"][name] != counts["change"].get(name))}
     args.out.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
     print(f"wrote {args.out}; reports kept in {scratch / 'reports'}")
     shutil.rmtree(checkouts["parent"], ignore_errors=True)
