@@ -520,6 +520,18 @@ def _decode_bidder(raw: Any, m: int, where: str, canonicalize: bool,
     raise SchemaError(f"{where}.type: unknown valuation type {kind!r}")
 
 
+def _identical(a: Any, b: Any) -> bool:
+    """a == b with equal types throughout, so that 1, 1.0 and true, which
+    compare equal in Python but not as schema values, stay apart."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_identical(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_identical, a, b))
+    return a == b
+
+
 def decode_instance(data: Union[bytes, str], *,
                     canonicalize_rationals: bool = False) -> Instance:
     """Parse and fully validate an instance document."""
@@ -532,9 +544,17 @@ def decode_instance(data: Union[bytes, str], *,
     _expect(_is_positive_int(m), "m: expected a positive integer")
     _expect(isinstance(doc["bidders"], list), "bidders: expected a list")
     index: dict[str, int] = {}
-    bidders = tuple(
-        _decode_bidder(raw, m, f"bidders[{i}]", canonicalize_rationals, index)
-        for i, raw in enumerate(doc["bidders"]))
+    # A bidder document identical to an earlier one decodes to the earlier
+    # bidder's object, so the copies share one value table and demand query.
+    decoded: list[tuple[Any, Valuation]] = []
+    for i, raw in enumerate(doc["bidders"]):
+        valuation = next((earlier for seen, earlier in decoded
+                          if raw == seen and _identical(raw, seen)), None)
+        if valuation is None:
+            valuation = _decode_bidder(raw, m, f"bidders[{i}]",
+                                       canonicalize_rationals, index)
+        decoded.append((raw, valuation))
+    bidders = tuple(valuation for _, valuation in decoded)
     metadata = doc.get("metadata", {})
     _expect(isinstance(metadata, dict), "metadata: expected an object")
     return Instance(m, bidders, metadata)

@@ -29,6 +29,11 @@ MAX_EXHAUSTIVE_ITEMS = 20
 # arbitrary-precision object arrays.
 _INT64_GUARD = 1 << 60
 
+# The most subset pairs submodular_by_definition compares in one numpy
+# call: a full row of pairs at m=14.  Set from per-call timings of
+# 2**12 to 2**16 (ROADMAP item 3).
+_SCAN_ELEMENTS = 1 << 14
+
 
 def _fractions(values) -> tuple[Fraction, ...]:
     """Values as exact Fractions; a Fraction already is one and is kept."""
@@ -506,53 +511,65 @@ def submodular_by_definition(valuation: Valuation) -> SubmodularReport:
     """Scan all subset pairs for v(S|T) + v(S&T) <= v(S) + v(T).
 
     The counterexample, if any, is the first pair in (S ascending,
-    T ascending) order; by symmetry the scan may restrict to T >= S.
+    T ascending) order.  The condition is symmetric in S and T, so no row
+    S needs a T before it.
+
+    The scan takes a block of rows at a time and compares every S of the
+    block with every T from the block's first S onward in one numpy call.
+    The first block is one row, each block that finds no violation doubles
+    the next, and no block holds more than _SCAN_ELEMENTS pairs.  The
+    answer is still the first pair: let S be the first violating row of a
+    block that starts at row `start`, and suppose S violated at some T with
+    start <= T < S.  Then row T, which is in the block and comes before S,
+    would violate at S.  So S's first violation is at some T >= S, and
+    the rows before the block have none at any T.
     """
     m = valuation.num_items
     _guard_items(m, "check_submodular")
-    table = value_table(valuation)
-    vals = table.nums
+    vals = value_table(valuation).nums
     masks = all_masks(m)
-    for s_mask in range(1 << m):
-        tail = masks[s_mask:]
-        lhs = vals[tail | s_mask] + vals[tail & s_mask]
-        rhs = vals[s_mask] + vals[s_mask:]
+    start, rows = 0, 1
+    while start < len(masks):
+        tail = masks[start:]
+        rows = max(1, min(rows, _SCAN_ELEMENTS // len(tail)))
+        block = tail[:rows, None]
+        lhs = vals[block | tail] + vals[block & tail]
+        rhs = vals[start:start + rows, None] + vals[start:]
         viol = lhs > rhs
         if viol.any():
-            t_mask = s_mask + int(np.argmax(viol))
+            row = int(np.argmax(viol.any(axis=1)))
+            s_mask = start + row
+            t_mask = start + int(np.argmax(viol[row]))
             return SubmodularReport(
                 holds=False,
                 counterexample=(ItemSet.from_mask(s_mask),
                                 ItemSet.from_mask(t_mask)))
+        start += rows
+        rows *= 2
     return SubmodularReport(holds=True)
 
 
 def submodular_by_marginals(valuation: Valuation) -> bool:
-    """Decide submodularity via decreasing marginals.
+    """Decide submodularity via decreasing marginals (Lehmann, Lehmann and
+    Nisan 2006): by second differences, v(S+x) + v(S+y) >= v(S+x+y) + v(S)
+    for every set S and items x, y outside it.
 
-    For each item x the marginal g(S) = v(S + x) - v(S) over x-free sets S
-    must be antitone under inclusion: g(S) >= g(T) whenever S is a subset
-    of T.  That holds exactly when the min-over-subsets transform of g
-    equals g itself.
+    That is, the marginal g(S) = v(S + x) - v(S) over x-free sets S never
+    rises when one more item y joins S; chained along any path from S up
+    to T, g(S) >= g(T) whenever S is a subset of T.  Each item x is an axis
+    of the (2,)*m tensor of values, and each pair of axes is one
+    comparison of two slices of x's marginals.
     """
     m = valuation.num_items
     _guard_items(m, "check_submodular")
-    table = value_table(valuation)
-    tensor = table.nums.reshape((2,) * m)
-    for bit in range(m):
-        axis = m - 1 - bit
+    tensor = value_table(valuation).nums.reshape((2,) * m)
+    for x in range(m):
         # Kept as a length-1 axis, as in check_monotone, so every slice
-        # below is an array and an object-dtype np.minimum stays exact.
-        marg = tensor.take([1], axis=axis) - tensor.take([0], axis=axis)
-        mins = marg.copy()
-        for a in range(m):
-            if a == axis:
-                continue
-            hi = tuple(slice(None) if k != a else 1 for k in range(mins.ndim))
-            lo = tuple(slice(None) if k != a else 0 for k in range(mins.ndim))
-            mins[hi] = np.minimum(mins[hi], mins[lo])
-        if not bool((mins == marg).all()):
-            return False
+        # below is an array and an object-dtype table stays exact.
+        marg = tensor.take([1], axis=x) - tensor.take([0], axis=x)
+        for y in range(x + 1, m):
+            if (marg.take([1], axis=y) > marg.take([0], axis=y)).any():
+                return False
     return True
 
 

@@ -67,6 +67,23 @@ def test_a_gain_inside_the_parent_spread_does_not_count():
     assert not result["median_gain_exceeds_parent_iqr"]["tasks_per_s"]
 
 
+def test_a_claim_needs_nine_in_ten_pairs_and_a_gain_past_the_spread():
+    parent = _side([100, 101, 99, 100, 102, 98, 100, 101, 99, 100], [40] * 10)
+    # Nine wins of ten and a median far past the parent's spread.
+    nine = _side([120, 121, 119, 120, 99, 121, 120, 119, 122, 120], [40] * 10)
+    # Eight wins of ten: too few, however large the gain.
+    eight = _side([120, 121, 119, 120, 99, 97, 120, 119, 122, 120], [40] * 10)
+    # Ten wins of ten, but inside the parent's spread.
+    close = _side([101, 102, 100, 101, 103, 99, 101, 102, 100, 101], [40] * 10)
+    verdicts = [bench_pairs.compare(parent, side, CONTRACT)["claim_rule_met"]
+                for side in (nine, eight, close)]
+    assert [v["tasks_per_s"] for v in verdicts] == [True, False, False]
+    assert [v["peak_rss_mib"] for v in verdicts] == [False] * 3
+    three = bench_pairs.compare(_side([10, 11, 12], [40] * 3),
+                                _side([20, 21, 22], [39] * 3), CONTRACT)
+    assert three["claim_rule_met"] == {"tasks_per_s": True, "peak_rss_mib": True}
+
+
 def test_a_spread_wider_than_the_bound_is_unresolved():
     parent = _side([60, 100, 140, 180], [40] * 4)
     change = _side([70, 100, 150, 170], [40] * 4)

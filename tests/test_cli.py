@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from auctionkit import PriceVector, cli, dump_prices, valuations
+from auctionkit import PriceVector, cli, demand, dump_prices, valuations
 from auctionkit.cli import main
 
 TRACE_FIXTURE = Path(__file__).parent / "data" / "mp1_greedy_trace.json"
@@ -249,6 +249,24 @@ class TestAuction:
         assert code == 0
         assert report["result"]["trace"]["outcome"]["kind"] in \
             ("stalled", "step_limit")
+
+    def test_greedy_on_the_mp1_pair_builds_one_utility_table_per_step(
+            self, capsys, monkeypatch, mp1_file):
+        """The document lists one bidder twice, so both decode to one object
+        and the rule's demand-set query for the second is the first's."""
+        monkeypatch.setattr(demand, "_memo", None)
+        build, calls = demand._utilities, []
+
+        def counted(valuation, table):
+            calls.append(valuation)
+            return build(valuation, table)
+
+        monkeypatch.setattr(demand, "_utilities", counted)
+        code, report = run_json(capsys, "auction", mp1_file, "--rule", "greedy",
+                                "--increment", "1/8", "--max-steps", "200")
+        assert code == 0
+        assert len(calls) == len(report["result"]["trace"]["steps"]) >= 2
+        assert all(v is calls[0] for v in calls)
 
     def test_dgs_inapplicable_to_multipeak(self, capsys, mp1_file):
         code = main(["auction", mp1_file, "--rule", "dgs"])

@@ -377,6 +377,35 @@ class TestDecodeValidation:
             load_prices(json.dumps({"prices": ["-1"]}), 1)
 
 
+class TestIdenticalBidders:
+    """A bidder document equal to an earlier one decodes to the earlier
+    bidder's object; the others decode on their own, in document order."""
+
+    MP = {"type": "multi_peak", "s": 4, "k": 2, "epsilon": "1/2",
+          "peaks": [[1, 2, 3, 4], [5, 6, 7, 8]]}
+    ADD = {"type": "additive", "values": [1, "1/2", 0, 0, 0, 0, 0, 0]}
+
+    def test_identical_documents_share_one_object(self):
+        inst = decode_instance(json.dumps({"m": 8, "bidders": [
+            self.MP, self.ADD, dict(reversed(list(self.MP.items()))),
+            {**self.ADD, "values": [1, "1/2", 0, 0, 0, 0, 0, 1]}]}))
+        first, other, again, last = inst.bidders
+        assert again is first
+        assert other is not first and last is not other
+        assert last.values[-1] == 1
+        assert encode_instance(inst) == encode_instance(Instance(
+            8, (first, other, first, last), {}))
+
+    @pytest.mark.parametrize("spelling", [True, 1.0])
+    def test_values_equal_only_in_python_stay_apart(self, spelling):
+        """true == 1 == 1.0 in Python, but a schema count refuses the other
+        two, and it still does after an integer spelling decoded."""
+        one_peak = {**self.MP, "k": 1, "peaks": [[1, 2, 3, 4]]}
+        doc = {"m": 8, "bidders": [one_peak, {**one_peak, "k": spelling}]}
+        with pytest.raises(SchemaError, match=r"bidders\[1\]\.k"):
+            decode_instance(json.dumps(doc))
+
+
 class TestCanonicalSpellings:
     """Strict decoding accepts a rational only as encoding spells it (an
     integer may also be written as a string), so a document that decodes

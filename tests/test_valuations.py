@@ -15,12 +15,13 @@ from auctionkit import (Additive, BudgetAdditive, Explicit, Instance, ItemSet,
                         validate_set_system)
 from auctionkit.errors import GroundSetTooLargeError, MalformedSystemError
 from auctionkit.rationals import scale
+from auctionkit import valuations
 from auctionkit.valuations import (int_table, submodular_by_definition,
                                    submodular_by_marginals, value_table)
 
 from reference import (all_subsets, naive_decreasing_marginals,
                        naive_monotone_counterexample,
-                       naive_submodular_counterexample)
+                       naive_submodular_counterexample, row_scan_submodular)
 
 
 class TestEvalValuation:
@@ -204,6 +205,96 @@ class TestValidatorsAgainstNaive:
             v = _random_explicit(rng, rng.randint(1, 6))
             assert submodular_by_definition(v).holds == submodular_by_marginals(v)
         assert submodular_by_definition(mp1).holds == submodular_by_marginals(mp1)
+
+
+def _coverage(num_items, covers, weights, scale=1):
+    """The value table of a coverage bidder: item j covers the elements in
+    the bit mask covers[j], element e weighs weights[e], and a set is worth
+    scale times the weight of the elements its items cover.  Coverage
+    functions are monotone and submodular."""
+    union = [0] * (1 << num_items)
+    for mask in range(1, 1 << num_items):
+        low = mask & -mask
+        union[mask] = union[mask ^ low] | covers[low.bit_length() - 1]
+    table = [scale * sum(w for e, w in enumerate(weights) if cover >> e & 1)
+             for cover in union]
+    return table
+
+
+@st.composite
+def coverage_tables(draw):
+    """A coverage table on m <= 6 items, with no planted violation or one
+    raised entry, scaled either by 1 or past int64 (object dtype)."""
+    m = draw(st.integers(1, 6))
+    weights = draw(st.lists(st.integers(0, 5), min_size=1, max_size=6))
+    covers = draw(st.lists(st.integers(0, (1 << len(weights)) - 1),
+                           min_size=m, max_size=m))
+    scale = draw(st.sampled_from([1, 2 ** 64 + 1]))
+    table = _coverage(m, covers, weights, scale)
+    raised = draw(st.none() | st.tuples(st.integers(1, (1 << m) - 1),
+                                        st.integers(1, 3)))
+    if raised is not None:
+        mask, amount = raised
+        table[mask] += amount * scale
+    return Explicit(m, tuple(F(x) for x in table))
+
+
+class TestHoldsPath:
+    """Random tables are almost never submodular above m = 3, so the
+    verdict "holds" is exercised on coverage tables, which are."""
+
+    @given(coverage_tables())
+    @settings(max_examples=40, deadline=None)
+    def test_coverage_tables_match_naive(self, v):
+        report = check_submodular(v)
+        naive = naive_submodular_counterexample(v)
+        assert report.holds == (naive is None)
+        assert report.counterexample == naive
+        assert submodular_by_marginals(v) == naive_decreasing_marginals(v)
+
+    def test_unraised_coverage_holds_past_int64(self):
+        v = Explicit(6, tuple(F(x) for x in _coverage(
+            6, [0b11, 0b110, 0b1100, 0b11000, 0b110000, 0b100001],
+            [1, 2, 3, 4, 5, 6], 2 ** 64 + 1)))
+        assert value_table(v).nums.dtype == object
+        assert check_submodular(v).holds
+        assert submodular_by_marginals(v)
+
+
+class TestScanBlocks:
+    """The doubling row blocks against the row-at-a-time scan, with block
+    caps small enough that blocks end and restart all over the table."""
+
+    @staticmethod
+    def _tables(rng, m):
+        """Submodular coverage tables, each followed by the same table with
+        one entry raised: the top item's singleton, or an entry at random.
+        A raised v({m}) breaks only pairs of sets that both hold item m, so
+        its violations lie in the top half of the rows."""
+        for trial in range(8):
+            weights = [rng.randint(1, 4) for _ in range(8)]
+            covers = [rng.randrange(1, 1 << 8) for _ in range(m)]
+            table = _coverage(m, covers, weights)
+            yield Explicit(m, tuple(F(x) for x in table)), False
+            late = trial < 3
+            mask = 1 << (m - 1) if late else rng.randrange(1, 1 << m)
+            table[mask] += rng.randint(1, sum(weights))
+            yield Explicit(m, tuple(F(x) for x in table)), late
+
+    @pytest.mark.parametrize("cap", [1, 3, 64, valuations._SCAN_ELEMENTS])
+    @pytest.mark.parametrize("m", [7, 8, 9, 10])
+    def test_blocks_match_the_row_scan(self, monkeypatch, cap, m):
+        monkeypatch.setattr(valuations, "_SCAN_ELEMENTS", cap)
+        rng = random.Random(100 * cap + m)
+        verdicts = set()
+        for v, late in self._tables(rng, m):
+            expected = row_scan_submodular(v)
+            assert submodular_by_definition(v) == expected
+            assert submodular_by_marginals(v) == expected.holds
+            verdicts.add((late, expected.holds))
+            if late and not expected.holds:
+                assert expected.counterexample[0].mask > 1 << (m - 1)
+        assert {(False, True), (True, False)} <= verdicts
 
 
 class TestStandardClassesStructural:

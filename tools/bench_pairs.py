@@ -15,8 +15,8 @@ Each cell's workload and seed then gets one traced run per side, and the
 count metrics of both sides are recorded side by side.
 
 The output holds, per cell and side, every run's end-to-end metrics,
-passes and digest, their medians and quartiles (inclusive method), and the
-pairs the change won.  Standard library only.
+passes and digest, their medians and quartiles (inclusive method), the
+pairs the change won, and per metric whether a claimed gain would hold.  Standard library only.
 """
 
 from __future__ import annotations
@@ -110,16 +110,18 @@ def compare(parent: dict, change: dict, contract: list[dict]) -> dict:
     range, relative to its median, is wider than the bound and not every
     run of the change beats every run of the parent.  The gain test asks
     that the change's median beat the parent's by more than the parent's
-    interquartile range.
+    interquartile range.  A claimed gain holds on a metric when the change
+    won at least nine in ten of its pairs and passed the gain test.
     """
-    won, change_pct, regression, beats_spread = {}, {}, {}, {}
+    won, change_pct, regression, beats_spread, claim = {}, {}, {}, {}, {}
     for entry in contract:
         name, higher = entry["name"], entry["better"] == "higher"
         if name not in parent["metrics"]:
             continue
         before, after = parent["metrics"][name], change["metrics"][name]
         sign = 1 if higher else -1
-        won[name] = sum(sign * (b - a) > 0 for a, b in zip(before["runs"], after["runs"]))
+        pairs = list(zip(before["runs"], after["runs"]))
+        won[name] = sum(sign * (b - a) > 0 for a, b in pairs)
         gain = sign * (after["median"] - before["median"])
         base = before["median"]
         change_pct[name] = round((after["median"] / base - 1) * 100, 2) if base else 0.0
@@ -134,10 +136,12 @@ def compare(parent: dict, change: dict, contract: list[dict]) -> dict:
         else:
             regression[name] = "within bound"
         beats_spread[name] = gain > iqr
+        claim[name] = 10 * won[name] >= 9 * len(pairs) and beats_spread[name]
     return {"pairs": min(len(parent["passes"]), len(change["passes"])),
             "pairs_won_by_change": won, "median_change_pct": change_pct,
             "no_regression_check": regression,
-            "median_gain_exceeds_parent_iqr": beats_spread}
+            "median_gain_exceeds_parent_iqr": beats_spread,
+            "claim_rule_met": claim}
 
 
 def traced_counts(report: dict) -> dict:
