@@ -13,9 +13,9 @@ from auctionkit import (Additive, BudgetAdditive, Explicit, Instance, ItemSet,
                         check_submodular, encode_instance, eps_close,
                         eval_valuation, find_close_peak, gen_multipeak,
                         validate_set_system)
+from auctionkit import valuations
 from auctionkit.errors import GroundSetTooLargeError, MalformedSystemError
 from auctionkit.rationals import scale
-from auctionkit import valuations
 from auctionkit.valuations import (int_table, submodular_by_definition,
                                    submodular_by_marginals, value_table)
 
@@ -207,18 +207,17 @@ class TestValidatorsAgainstNaive:
         assert submodular_by_definition(mp1).holds == submodular_by_marginals(mp1)
 
 
-def _coverage(num_items, covers, weights, scale=1):
+def _coverage(num_items, covers, weights, factor=1):
     """The value table of a coverage bidder: item j covers the elements in
     the bit mask covers[j], element e weighs weights[e], and a set is worth
-    scale times the weight of the elements its items cover.  Coverage
+    factor times the weight of the elements its items cover.  Coverage
     functions are monotone and submodular."""
     union = [0] * (1 << num_items)
     for mask in range(1, 1 << num_items):
         low = mask & -mask
         union[mask] = union[mask ^ low] | covers[low.bit_length() - 1]
-    table = [scale * sum(w for e, w in enumerate(weights) if cover >> e & 1)
-             for cover in union]
-    return table
+    return [factor * sum(w for e, w in enumerate(weights) if cover >> e & 1)
+            for cover in union]
 
 
 @st.composite
@@ -229,13 +228,13 @@ def coverage_tables(draw):
     weights = draw(st.lists(st.integers(0, 5), min_size=1, max_size=6))
     covers = draw(st.lists(st.integers(0, (1 << len(weights)) - 1),
                            min_size=m, max_size=m))
-    scale = draw(st.sampled_from([1, 2 ** 64 + 1]))
-    table = _coverage(m, covers, weights, scale)
+    factor = draw(st.sampled_from([1, 2 ** 64 + 1]))
+    table = _coverage(m, covers, weights, factor)
     raised = draw(st.none() | st.tuples(st.integers(1, (1 << m) - 1),
                                         st.integers(1, 3)))
     if raised is not None:
         mask, amount = raised
-        table[mask] += amount * scale
+        table[mask] += amount * factor
     return Explicit(m, tuple(F(x) for x in table))
 
 
