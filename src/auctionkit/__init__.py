@@ -20,10 +20,8 @@ from .valuations import (
     Valuation,
     check_monotone,
     check_submodular,
-    close_region_value,
     eps_close,
     eval_valuation,
-    far_region_value,
     find_close_peak,
     validate_set_system,
 )

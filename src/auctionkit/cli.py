@@ -25,15 +25,14 @@ from . import __version__
 from .auctions import (dgs_rule, english_additive_rule, greedy_submodular_rule,
                        run_ascending)
 from .demand import PriceVector, brute_force_demand, fast_oracle
-from .equilibrium import (DEFAULT_DEMAND_CAP, envy_free_allocation,
-                          minimal_envy_free)
+from .equilibrium import envy_free_allocation, minimal_envy_free
 from .errors import AuctionkitError, RuleViolationError, SchemaError
 from .instances import (allocation_payload, decode_instance, demand_payload,
                         dumps, encode_instance, gen_additive,
                         gen_budget_additive, gen_multipeak, gen_unit_demand,
                         load_prices, prices_payload, trace_payload)
 from .rationals import format_rational, parse_rational
-from .valuations import check_monotone, check_submodular
+from .valuations import LIMITS, check_monotone, check_submodular
 
 
 def _parse_fraction_arg(text: str) -> Fraction:
@@ -298,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("envyfree", help="search for an envy-free allocation")
     p.add_argument("instance")
     p.add_argument("prices")
-    p.add_argument("--cap", type=int, default=DEFAULT_DEMAND_CAP)
+    p.add_argument("--cap", type=int, default=LIMITS["demand sets"])
     p.add_argument("--expect", choices=["ef", "not-ef"],
                    help="exit 1 unless the verdict matches")
     common(p)

@@ -40,8 +40,6 @@ from .valuations import (Additive, BudgetAdditive, MultiPeak, UnitDemand,
                          close_num, eval_valuation, int_dtype, int_table,
                          multipeak_num, value_table)
 
-MAX_ENUMERATION_ITEMS = 16
-
 
 @dataclass(frozen=True, init=False, repr=False)
 class PriceVector:
@@ -222,8 +220,7 @@ def brute_force_demand(valuation: Valuation, prices: PriceVector) -> DemandResul
 def demand_sets(valuation: Valuation, prices: PriceVector,
                 cap: int) -> list[ItemSet]:
     """All utility maximizers in canonical order; errors if more than cap."""
-    _guard_items(valuation.num_items, "demand-set enumeration",
-                 MAX_ENUMERATION_ITEMS)
+    _guard_items(valuation.num_items, "demand-set enumeration")
     _, masks = _maximizers(valuation, prices)
     if len(masks) > cap:
         raise DemandCapExceededError(len(masks), cap)

@@ -19,11 +19,7 @@ from typing import Optional, Union
 from .errors import GridTooLargeError
 from .itemsets import EMPTY_SET, ItemSet
 from .demand import PriceVector, demand_oracle, demand_sets, utility
-from .valuations import UnitDemand, _guard_items, eval_valuation
-
-DEFAULT_DEMAND_CAP = 4096
-MAX_GRID_POINTS = 10_000_000
-MAX_GRID_ITEMS = 6
+from .valuations import LIMITS, UnitDemand, _guard_items, eval_valuation
 
 
 @dataclass(frozen=True)
@@ -79,7 +75,7 @@ def _check_ground_set(instance, prices: PriceVector) -> None:
 
 
 def envy_free_allocation(instance, prices: PriceVector,
-                         cap: int = DEFAULT_DEMAND_CAP) -> EnvyFreeReport:
+                         cap: int = LIMITS["demand sets"]) -> EnvyFreeReport:
     """Backtracking search for pairwise-disjoint demand sets, one per bidder.
 
     Bidders are processed by descending size of their smallest demand set
@@ -247,7 +243,7 @@ def minimal_envy_free(instance, bound: Fraction, step: Fraction) -> list[PriceVe
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     m = instance.num_items
-    _guard_items(m, "grid search", MAX_GRID_ITEMS)
+    _guard_items(m, "grid search")
     top_value = max(
         (eval_valuation(v, ItemSet([j]))
          for v in instance.bidders for j in range(1, m + 1)),
@@ -257,10 +253,10 @@ def minimal_envy_free(instance, bound: Fraction, step: Fraction) -> list[PriceVe
             f"bound {bound} is below the largest single-item value {top_value}; "
             "the grid might contain no envy-free point")
     levels = int(bound / step) + 1
-    if levels ** m > MAX_GRID_POINTS:
+    if levels ** m > LIMITS["grid points"]:
         raise GridTooLargeError(
             f"{levels ** m} grid points exceed the safety limit of "
-            f"{MAX_GRID_POINTS}")
+            f"{LIMITS['grid points']}")
     num, den = step.numerator, step.denominator
     minimal: list[PriceVector] = []
     # The lattice indices of the minimal points: a point's prices are its

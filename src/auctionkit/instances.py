@@ -36,11 +36,9 @@ from .auctions import (AuctionTrace, Certify, Decision, EnvyFreeOutcome, Raise,
 from .demand import DemandResult, PriceVector
 from .equilibrium import Allocation
 from .rationals import format_rational, format_scaled, parse_rational
-from .valuations import (MAX_EXHAUSTIVE_ITEMS, Additive, BudgetAdditive,
-                         Explicit, MultiPeak, SetSystem, UnitDemand, Valuation,
+from .valuations import (LIMITS, Additive, BudgetAdditive, Explicit,
+                         MultiPeak, SetSystem, UnitDemand, Valuation,
                          check_monotone, validate_set_system, value_table)
-
-MAX_GENERATION_RETRIES = 10_000
 
 
 @dataclass(frozen=True)
@@ -156,7 +154,7 @@ def gen_multipeak(m: int, s: int, k: int, eps: Fraction, n: int, seed: int,
             f"{k} peaks of size {s} with pairwise overlap at most "
             f"{overlap_cap} cannot fit in {m} items")
     rng = random.Random(seed)
-    budget = [MAX_GENERATION_RETRIES]
+    budget = [LIMITS["generation retries"]]
     if share_system:
         system = _draw_system(rng, m, s, k, eps, budget)
         bidders = tuple(MultiPeak(system, m) for _ in range(n))
@@ -414,10 +412,10 @@ def _read_table(table_raw: Any, m: int, where: str, canonicalize: bool,
     _expect(isinstance(table_raw, dict), f"{where}: expected an object")
     # Both refusals come before any per-entry work, so a document that
     # cannot be valid never makes 2**m of anything.
-    if m > MAX_EXHAUSTIVE_ITEMS:
+    limit = LIMITS["an explicit table"]
+    if m > limit:
         raise GroundSetTooLargeError(
-            f"{where}: explicit tables are limited to "
-            f"{MAX_EXHAUSTIVE_ITEMS} items, got m={m}")
+            f"{where}: explicit tables are limited to {limit} items, got m={m}")
     _expect(len(table_raw) == 1 << m,
             f"{where}: expected {1 << m} subsets, got {len(table_raw)}")
     if not index:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from typing import Union
 
@@ -32,8 +33,14 @@ def parse_rational(raw: Union[int, str], *, canonicalize: bool = False,
         match = _RATIONAL_RE.fullmatch(raw)
         if match is None:
             raise SchemaError(f"{where}: {raw!r} is not an integer or num/den rational")
-        num = int(match.group(1))
-        den = int(match.group(2)) if match.group(2) else 1
+        num_text, den_text = match.group(1), match.group(2) or "1"
+        try:
+            num, den = int(num_text), int(den_text)
+        except ValueError:  # past sys.get_int_max_str_digits()
+            digits = max(len(num_text.lstrip("-")), len(den_text))
+            raise SchemaError(
+                f"{where}: a number of {digits} digits exceeds the limit of "
+                f"{sys.get_int_max_str_digits()} digits") from None
         value = Fraction(num, den)
         if not canonicalize and str(format_rational(value)) != raw:
             raise SchemaError(

@@ -22,8 +22,21 @@ from .errors import GroundSetTooLargeError, MalformedSystemError
 from .itemsets import ItemSet, all_masks, popcounts
 from .rationals import scale
 
-# 2**20 subsets is about the largest table that stays in desk-scale seconds.
-MAX_EXHAUSTIVE_ITEMS = 20
+# Every size limit, keyed by the name its refusal prints and read at each
+# call.  README.md's "Size limits" says what each entry bounds and how long
+# a run near it takes.
+LIMITS = {
+    "value_table": 20,
+    "an explicit table": 20,
+    "check_monotone": 20,
+    "check_submodular": 20,
+    "brute-force demand": 20,
+    "demand-set enumeration": 16,
+    "grid search": 6,
+    "grid points": 10_000_000,
+    "demand sets": 4096,
+    "generation retries": 10_000,
+}
 
 # Scaled integers above this bound leave int64 headroom; fall back to
 # arbitrary-precision object arrays.
@@ -99,15 +112,18 @@ def _is_close(overlap, outside, length, pe, qe):
 
 
 def close_num(overlap, outside, size, pe, qe):
-    """close_region_value scaled by 4 s^2 q^2, where eps = pe/qe; on ints or
-    numpy integer arrays."""
+    """The close-region value a (2 - eps) / (2 s) + b (2 + eps) / (2 s) +
+    a b / s^2 + eps^2 / 4 of a bundle S at a peak A, times 4 s^2 q^2, where
+    a = |S & A| = overlap, b = |S - A| = outside, s = size and
+    eps = pe/qe = p/q; on ints or numpy integer arrays."""
     return (2 * size * qe * (overlap * (2 * qe - pe) + outside * (2 * qe + pe))
             + 4 * qe * qe * overlap * outside
             + pe * pe * size * size)
 
 
 def far_num(cardinality, size, qe):
-    """far_region_value scaled by 4 s^2 q^2; on ints or numpy integer arrays."""
+    """The far-region value |S| / s - |S|^2 / (4 s^2) times 4 s^2 q^2, where
+    |S| = cardinality, s = size and q = qe; on ints or numpy integer arrays."""
     return qe * qe * cardinality * (4 * size - cardinality)
 
 
@@ -156,18 +172,6 @@ def multipeak_num(system: SetSystem, bundle: ItemSet) -> int:
         return far_num(card, size, eps.denominator)
     inter = len(bundle & system.peaks[idx])
     return close_num(inter, card - inter, size, eps.numerator, eps.denominator)
-
-
-def close_region_value(overlap: int, outside: int, size: int, eps: Fraction) -> Fraction:
-    """Value of a bundle close to a peak: |S&A| = overlap, |S-A| = outside."""
-    pe, qe = eps.numerator, eps.denominator
-    return Fraction(close_num(overlap, outside, size, pe, qe),
-                    4 * size * size * qe * qe)
-
-
-def far_region_value(cardinality: int, size: int) -> Fraction:
-    """Value of a bundle far from every peak: |S|/s - |S|^2 / (4 s^2)."""
-    return Fraction(far_num(cardinality, size, 1), 4 * size * size)
 
 
 @dataclass(frozen=True)
@@ -389,9 +393,9 @@ def int_table(nums, fold=None, cap: Optional[int] = None) -> np.ndarray:
     return table
 
 
-def _guard_items(num_items: int, what: str,
-                 limit: int = MAX_EXHAUSTIVE_ITEMS) -> None:
-    """Refuse a ground set above the limit of the routine named by `what`."""
+def _guard_items(num_items: int, what: str) -> None:
+    """Refuse a ground set above LIMITS[what], the limit of routine `what`."""
+    limit = LIMITS[what]
     if num_items > limit:
         raise GroundSetTooLargeError(
             f"{what} is limited to {limit} items, got {num_items}")

@@ -18,7 +18,7 @@ import numpy as np
 
 from auctionkit import (EMPTY_SET, Additive, Allocation, Certify,
                         DemandResult, ItemSet, MultiPeak, PriceVector, Raise,
-                        close_region_value, eval_valuation, utility)
+                        eval_valuation, utility)
 from auctionkit.itemsets import all_masks
 from auctionkit.valuations import SubmodularReport, _guard_items, value_table
 
@@ -250,6 +250,15 @@ def canonical_key(bundle):
 # The multi-peak demand oracle on Fractions: every threshold, kappa bound
 # and candidate gain is a Fraction.  auctionkit.demand runs the same
 # construction on integers; the two must agree on every query.
+
+def close_region_value(overlap: int, outside: int, size: int,
+                       eps: Fraction) -> Fraction:
+    """Value of a bundle S close to a peak A of size s, with
+    |S & A| = overlap and |S - A| = outside."""
+    a, b = overlap, outside
+    return ((a * (2 - eps) + b * (2 + eps)) / (2 * size)
+            + Fraction(a * b, size * size) + eps * eps / 4)
+
 
 def fraction_algorithm_zero(prices: PriceVector, size: int) -> ItemSet:
     """Far-regime candidate: the longest cheap prefix under exact thresholds.

@@ -104,6 +104,15 @@ class TestDemand:
         assert report["result"]["result"] == \
             {"maxUtility": 0, "set": [], "count": 1}
 
+    def test_overlong_price_exits_2_at_its_path(self, capsys, mp1_file,
+                                                tmp_path):
+        prices = tmp_path / "long.json"
+        prices.write_text(json.dumps({"prices": ["1" * 5000] + [0] * 7}))
+        assert main(["demand", mp1_file, str(prices)]) == 2
+        err = capsys.readouterr().err
+        assert "prices[0]: a number of 5000 digits" in err
+        assert len(err) < 200
+
 
 class TestValidate:
     def test_mp1_monotone_failure_reported(self, capsys, mp1_file):

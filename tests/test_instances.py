@@ -4,6 +4,7 @@ import ast
 import collections
 import enum
 import json
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -592,6 +593,28 @@ class TestDocumentReader:
     def test_overlong_integer_is_refused(self):
         with pytest.raises(SchemaError, match="not valid JSON"):
             decode_instance('{"m": 1' + "0" * 5000 + ', "bidders": []}')
+
+    @pytest.mark.parametrize("read, where", [
+        (lambda raw: load_prices(json.dumps({"prices": [raw]})), "prices[0]"),
+        (lambda raw: decode_instance(json.dumps(
+            {"m": 1, "bidders": [{"type": "additive", "values": [raw]}]})),
+         "bidders[0].values[0]"),
+        (lambda raw: decode_instance(json.dumps(
+            {"m": 1, "bidders": [{"type": "explicit",
+                                  "table": {"": 0, "1": raw}}]})),
+         "bidders[0].table['1']"),
+    ], ids=["price", "additive-value", "explicit-entry"])
+    @pytest.mark.parametrize("raw", ["1" * 5000, "1/" + "1" * 5000],
+                             ids=["numerator", "denominator"])
+    def test_overlong_digit_strings_are_refused_at_their_path(self, read,
+                                                              where, raw):
+        """Digits past int()'s conversion limit are a SchemaError that names
+        the entry and the digit count, not the digits."""
+        with pytest.raises(SchemaError) as info:
+            read(raw)
+        assert str(info.value) == (
+            f"{where}: a number of 5000 digits exceeds the limit of "
+            f"{sys.get_int_max_str_digits()} digits")
 
     @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity",
                                         "1e400", "-1e400"])

@@ -1,6 +1,9 @@
-"""The README's library tour runs, and each value it shows is the real one."""
+"""The README's library tour runs, each value it shows is the real one, and
+its size limits are the package's."""
 
 from pathlib import Path
+
+from auctionkit.valuations import LIMITS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -24,3 +27,15 @@ def test_library_tour_shows_each_value():
         assert repr(eval(code, namespace)) == comment.strip(), line
         shown += 1
     assert shown >= 10
+
+
+def test_size_limits_section_lists_the_table():
+    """Each row of the section's table names one entry of LIMITS and its
+    value, and every entry has a row."""
+    section = README.read_text().split("## Size limits", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1:3] for line in section.splitlines()
+            if line.startswith("| `")]
+    listed = {entry.strip().strip("`"): int(limit.split()[0].replace(",", ""))
+              for entry, limit in rows}
+    assert len(listed) == len(rows)
+    assert listed == LIMITS
