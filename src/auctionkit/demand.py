@@ -217,14 +217,22 @@ def brute_force_demand(valuation: Valuation, prices: PriceVector) -> DemandResul
                         argmax_count=len(masks))
 
 
-def demand_sets(valuation: Valuation, prices: PriceVector,
-                cap: int) -> list[ItemSet]:
-    """All utility maximizers in canonical order; errors if more than cap."""
+def _demand_masks(valuation: Valuation, prices: PriceVector,
+                  cap: int) -> list[int]:
+    """The masks of all utility maximizers in canonical order, as ints;
+    errors if more than cap."""
     _guard_items(valuation.num_items, "demand-set enumeration")
     _, masks = _maximizers(valuation, prices)
     if len(masks) > cap:
         raise DemandCapExceededError(len(masks), cap)
-    return [ItemSet.from_mask(int(mask)) for mask in masks]
+    return masks.tolist()
+
+
+def demand_sets(valuation: Valuation, prices: PriceVector,
+                cap: int) -> list[ItemSet]:
+    """All utility maximizers in canonical order; errors if more than cap."""
+    return [ItemSet.from_mask(mask)
+            for mask in _demand_masks(valuation, prices, cap)]
 
 
 def _price_order(nums: tuple[int, ...]) -> list[int]:

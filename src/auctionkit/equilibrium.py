@@ -18,7 +18,7 @@ from typing import Optional, Union
 
 from .errors import GridTooLargeError
 from .itemsets import EMPTY_SET, ItemSet
-from .demand import PriceVector, demand_oracle, demand_sets, utility
+from .demand import PriceVector, _demand_masks, demand_oracle, utility
 from .valuations import LIMITS, UnitDemand, _guard_items, eval_valuation
 
 
@@ -80,13 +80,15 @@ def envy_free_allocation(instance, prices: PriceVector,
 
     Bidders are processed by descending size of their smallest demand set
     (most constrained first), sets in canonical order, so reports are
-    deterministic.  nodes_explored counts attempted assignments.
+    deterministic.  nodes_explored counts attempted assignments.  The
+    search runs on masks; item sets are built only for the allocation it
+    returns.
     """
     _check_ground_set(instance, prices)
-    options = [demand_sets(v, prices, cap) for v in instance.bidders]
+    options = [_demand_masks(v, prices, cap) for v in instance.bidders]
     n = len(options)
-    order = sorted(range(n), key=lambda i: (-len(options[i][0]), i))
-    assigned: list[ItemSet] = [EMPTY_SET] * n
+    order = sorted(range(n), key=lambda i: (-options[i][0].bit_count(), i))
+    assigned = [0] * n
     nodes = 0
 
     def descend(pos: int, used: int) -> bool:
@@ -94,16 +96,17 @@ def envy_free_allocation(instance, prices: PriceVector,
         if pos == n:
             return True
         bidder = order[pos]
-        for bundle in options[bidder]:
+        for mask in options[bidder]:
             nodes += 1
-            if bundle.mask & used == 0:
-                assigned[bidder] = bundle
-                if descend(pos + 1, used | bundle.mask):
+            if mask & used == 0:
+                assigned[bidder] = mask
+                if descend(pos + 1, used | mask):
                     return True
         return False
 
     if descend(0, 0):
-        return EnvyFreeReport(True, Allocation(tuple(assigned)), None, nodes)
+        allocation = Allocation(tuple(map(ItemSet.from_mask, assigned)))
+        return EnvyFreeReport(True, allocation, None, nodes)
     return EnvyFreeReport(False, None,
                           Witness("exhaustion-proof", EMPTY_SET, ()), nodes)
 

@@ -35,7 +35,8 @@ from .auctions import (AuctionTrace, Certify, Decision, EnvyFreeOutcome, Raise,
                        StalledOutcome, StepLimitOutcome)
 from .demand import DemandResult, PriceVector
 from .equilibrium import Allocation
-from .rationals import format_rational, format_scaled, parse_rational
+from .rationals import (format_rational, format_scaled, parse_rational,
+                        too_many_digits)
 from .valuations import (LIMITS, Additive, BudgetAdditive, Explicit,
                          MultiPeak, SetSystem, UnitDemand, Valuation,
                          check_monotone, validate_set_system, value_table)
@@ -317,20 +318,43 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _bounded_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise too_many_digits("document is not valid JSON",
+                              len(text.lstrip("-"))) from None
+
+
+def _parse(text: str, parse_int=None) -> Any:
+    return json.loads(text, object_pairs_hook=_unique_keys,
+                      parse_constant=_refuse_constant,
+                      parse_float=_finite_float, parse_int=parse_int)
+
+
 def _load_document(data: Union[bytes, str]) -> Any:
     """The one JSON reader.  Bytes are decoded as UTF-8; anything that does
     not read as one JSON document with unique keys is a SchemaError.  So
     are NaN, Infinity and -Infinity, which json reads but JSON lacks, and a
     number too large for a float, which json reads as inf: `dumps` would
-    echo either back as text a strict parser refuses."""
+    echo either back as text a strict parser refuses.  So is an integer
+    past Python's digit conversion limit, in parse_rational's words."""
     try:
         text = data.decode() if isinstance(data, bytes) else data
-        return json.loads(text, object_pairs_hook=_unique_keys,
-                          parse_constant=_refuse_constant,
-                          parse_float=_finite_float)
+        return _parse(text)
     except RecursionError as exc:
         raise SchemaError("document is nested too deeply to read") from exc
     except ValueError as exc:  # bad UTF-8 or JSON, an overlong number, NaN
+        if not isinstance(exc, UnicodeDecodeError):
+            # json's own refusal of a long integer tells the user to call
+            # sys.set_int_max_str_digits().  A second read, which fails at
+            # the same place, lets _bounded_int raise the package's refusal
+            # if that was the cause; an integer hook on the first read would
+            # cost a call for every integer of every document.
+            try:
+                _parse(text, _bounded_int)
+            except ValueError:
+                pass
         raise SchemaError(f"document is not valid JSON: {exc}") from exc
 
 

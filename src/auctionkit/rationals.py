@@ -16,6 +16,12 @@ from .errors import SchemaError
 _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
 
 
+def too_many_digits(where: str, digits: int) -> SchemaError:
+    """The refusal of a number whose digits int() will not convert."""
+    return SchemaError(f"{where}: a number of {digits} digits exceeds the "
+                       f"limit of {sys.get_int_max_str_digits()} digits")
+
+
 def parse_rational(raw: Union[int, str], *, canonicalize: bool = False,
                    where: str = "rational") -> Fraction:
     """Parse a JSON int or a "num/den" string into an exact Fraction.
@@ -37,10 +43,8 @@ def parse_rational(raw: Union[int, str], *, canonicalize: bool = False,
         try:
             num, den = int(num_text), int(den_text)
         except ValueError:  # past sys.get_int_max_str_digits()
-            digits = max(len(num_text.lstrip("-")), len(den_text))
-            raise SchemaError(
-                f"{where}: a number of {digits} digits exceeds the limit of "
-                f"{sys.get_int_max_str_digits()} digits") from None
+            raise too_many_digits(where, max(len(num_text.lstrip("-")),
+                                             len(den_text))) from None
         value = Fraction(num, den)
         if not canonicalize and str(format_rational(value)) != raw:
             raise SchemaError(

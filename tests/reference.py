@@ -1,11 +1,14 @@
 """Naive reference oracles used to validate the library's optimized paths.
 
-Everything here but row_scan_submodular is deliberately written the slow,
-obvious way: plain Fractions, itertools over explicit subsets, no numpy, no
-bitmask tricks.  These are the independent second routes that the fast
-implementations are measured against on small ground sets.
-row_scan_submodular is the earlier numpy form of a fast path, kept so that
-the fast path's block edges can be checked on larger ground sets.
+Everything here but row_scan_submodular and itemset_envy_free_allocation
+is deliberately written the slow, obvious way: plain Fractions, itertools
+over explicit subsets, no numpy, no bitmask tricks.  These are the
+independent second routes that the fast implementations are measured
+against on small ground sets.  row_scan_submodular is the earlier numpy
+form of a fast path, kept so that the fast path's block edges can be
+checked on larger ground sets; itemset_envy_free_allocation is the
+earlier ItemSet form of the envy-free search, kept so that the mask
+search's whole report can be compared with it.
 FractionPrices stands in for PriceVector wherever only `.prices` is read.
 """
 
@@ -17,10 +20,12 @@ from typing import Optional
 import numpy as np
 
 from auctionkit import (EMPTY_SET, Additive, Allocation, Certify,
-                        DemandResult, ItemSet, MultiPeak, PriceVector, Raise,
+                        DemandResult, EnvyFreeReport, ItemSet, MultiPeak,
+                        PriceVector, Raise, Witness, demand_sets,
                         eval_valuation, utility)
 from auctionkit.itemsets import all_masks
-from auctionkit.valuations import SubmodularReport, _guard_items, value_table
+from auctionkit.valuations import (LIMITS, SubmodularReport, _guard_items,
+                                   value_table)
 
 
 def all_subsets(num_items):
@@ -140,6 +145,38 @@ def naive_envy_free(instance, prices):
         else:
             return True
     return not per_bidder  # zero bidders: trivially envy-free
+
+
+def itemset_envy_free_allocation(instance, prices, cap=LIMITS["demand sets"]):
+    """The backtracking search on ItemSets, as envy_free_allocation ran it
+    before it moved to masks: bidders by descending size of their smallest
+    demand set, then index; sets in canonical order; one node per
+    attempted assignment."""
+    if prices.num_items != instance.num_items:
+        raise ValueError("instance and prices disagree on the ground set size")
+    options = [demand_sets(v, prices, cap) for v in instance.bidders]
+    n = len(options)
+    order = sorted(range(n), key=lambda i: (-len(options[i][0]), i))
+    assigned = [EMPTY_SET] * n
+    nodes = 0
+
+    def descend(pos, used):
+        nonlocal nodes
+        if pos == n:
+            return True
+        bidder = order[pos]
+        for bundle in options[bidder]:
+            nodes += 1
+            if bundle.mask & used == 0:
+                assigned[bidder] = bundle
+                if descend(pos + 1, used | bundle.mask):
+                    return True
+        return False
+
+    if descend(0, 0):
+        return EnvyFreeReport(True, Allocation(tuple(assigned)), None, nodes)
+    return EnvyFreeReport(False, None,
+                          Witness("exhaustion-proof", EMPTY_SET, ()), nodes)
 
 
 def overdemand_margin(instance, prices, items):

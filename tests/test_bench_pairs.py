@@ -94,6 +94,37 @@ def test_a_spread_wider_than_the_bound_is_unresolved():
     assert clear["no_regression_check"]["tasks_per_s"] == "within bound"
 
 
+def _side_with_passes(rss, passes):
+    return bench_pairs.summarise_side(
+        [_report(100, m, k) for m, k in zip(rss, passes)],
+        ["tasks_per_s", "peak_rss_mib"])
+
+
+def test_rss_is_put_beside_the_pass_count():
+    parent = _side_with_passes([42.0, 42.2, 42.1], [16, 18, 17])
+    change = _side_with_passes([43.9, 43.8, 44.0], [27, 29, 28])
+    result = bench_pairs.rss_by_passes(parent, change)
+    assert result["parent"] == {"median_passes": 17, "peak_rss_mib": 42.1}
+    assert result["change"] == {"median_passes": 28, "peak_rss_mib": 43.9}
+    assert result["extra_passes"] == 11
+    assert result["mib_per_extra_pass"] == round(1.8 / 11, 4)
+
+
+def test_rss_per_pass_needs_a_difference_in_passes():
+    equal = bench_pairs.rss_by_passes(_side_with_passes([40, 41], [10, 12]),
+                                      _side_with_passes([45, 46], [11, 11]))
+    assert equal["extra_passes"] == 0
+    assert equal["mib_per_extra_pass"] is None
+    fewer = bench_pairs.rss_by_passes(_side_with_passes([40], [20]),
+                                      _side_with_passes([39], [10]))
+    assert fewer["mib_per_extra_pass"] == 0.1
+    unknown = bench_pairs.rss_by_passes(_side_with_passes([40], [None]),
+                                        _side_with_passes([41], [10]))
+    assert unknown["parent"]["median_passes"] is None
+    assert unknown["extra_passes"] is None
+    assert unknown["mib_per_extra_pass"] is None
+
+
 def test_plan_cells_parse():
     assert bench_pairs.parse_plan("ud_grid:1:3") == ("ud_grid", 1, 3)
     with pytest.raises(argparse.ArgumentTypeError, match="WORKLOAD:SEED:PAIRS"):

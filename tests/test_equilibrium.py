@@ -19,7 +19,9 @@ from auctionkit import (Additive, Allocation, BudgetAdditive, EMPTY_SET,
                         run_ascending, unit_demand_envy_free, utility)
 from auctionkit import equilibrium
 from auctionkit.auctions import EnvyFreeOutcome
-from auctionkit.errors import GridTooLargeError, GroundSetTooLargeError
+from auctionkit.errors import (DemandCapExceededError, GridTooLargeError,
+                               GroundSetTooLargeError)
+from auctionkit.valuations import LIMITS
 
 from conftest import count_price_tables
 import reference
@@ -117,6 +119,46 @@ def _unit_demand_at_prices(draw):
     return Instance(m, bidders), prices
 
 
+# Three levels only, so that many sets share the top utility.
+LEVELS = st.integers(0, 2).map(lambda k: F(k, 2))
+
+
+@st.composite
+def _search_cases(draw):
+    """Up to four Explicit, BudgetAdditive and Additive bidders on up to
+    five items with values on three levels, prices in halves and thirds,
+    and a cap that is sometimes below a bidder's count of demand sets."""
+    m = draw(st.integers(1, 5))
+    bidders = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from((Explicit, BudgetAdditive, Additive)))
+        if kind is Explicit:
+            rest = draw(st.lists(LEVELS, min_size=2 ** m - 1,
+                                 max_size=2 ** m - 1))
+            bidders.append(Explicit(m, (F(0),) + tuple(rest)))
+            continue
+        values = tuple(draw(st.lists(LEVELS, min_size=m, max_size=m)))
+        bidders.append(BudgetAdditive(values, draw(LEVELS))
+                       if kind is BudgetAdditive else Additive(values))
+    prices = PriceVector(tuple(draw(st.lists(HALVES_AND_THIRDS, min_size=m,
+                                             max_size=m))))
+    cap = draw(st.sampled_from((1, 3, 8, LIMITS["demand sets"])))
+    return Instance(m, tuple(bidders)), prices, cap
+
+
+def _both_routes(inst, prices, cap):
+    """The mask search's and the ItemSet search's reports, or the type,
+    message and fields of the refusal each raised."""
+    answers = []
+    for search in (envy_free_allocation,
+                   reference.itemset_envy_free_allocation):
+        try:
+            answers.append(search(inst, prices, cap))
+        except DemandCapExceededError as exc:
+            answers.append((type(exc), str(exc), exc.count, exc.cap))
+    return answers
+
+
 def _item_seekers():
     """Three explicit bidders on m=3; the k-th values a set at 3 when it
     holds item k and at 0 otherwise, so ({1}, {2}, {3}) is envy-free at
@@ -176,6 +218,47 @@ class TestEnvyFreeAllocation:
         assert report.allocation.assigned == (ItemSet([1]), ItemSet([2]),
                                               ItemSet([3]))
         assert tables == [prices]
+
+
+class TestMaskSearch:
+    """envy_free_allocation backtracks on masks; the ItemSet search it
+    replaced is kept in tests/reference.py, and the two must give the same
+    verdict, allocation, witness and node count, or the same refusal."""
+
+    @given(_search_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_report_matches_itemset_search(self, case):
+        masks, itemsets = _both_routes(*case)
+        assert masks == itemsets
+
+    def test_cases_reach_every_outcome(self):
+        """The same comparison on a fixed sample that holds refusals,
+        allocations and exhaustion proofs, some of them many nodes deep."""
+        rng = random.Random(34)
+        seen = set()
+        for _ in range(200):
+            m, n = rng.randint(1, 5), rng.randint(1, 4)
+            bidders = tuple(
+                Explicit(m, (F(0),) + tuple(F(rng.randint(0, 2), 2)
+                                            for _ in range(2 ** m - 1)))
+                for _ in range(n))
+            prices = PriceVector(tuple(F(rng.randint(0, 2), 3)
+                                       for _ in range(m)))
+            cap = rng.choice((3, LIMITS["demand sets"]))
+            masks, itemsets = _both_routes(Instance(m, bidders), prices, cap)
+            assert masks == itemsets
+            if isinstance(masks, tuple):
+                seen.add("refused")
+            else:
+                seen.add(masks.envy_free)
+                if masks.nodes_explored > 20:
+                    seen.add("deep")
+        assert seen == {"refused", True, False, "deep"}
+
+    def test_refusal_names_the_count_and_cap(self, mp1_pair_instance):
+        masks, itemsets = _both_routes(mp1_pair_instance, PriceVector.zero(8), 4)
+        assert masks == itemsets == (DemandCapExceededError,
+                                     "8 demand sets exceed the cap of 4", 8, 4)
 
 
 class TestUnitDemandEnvyFree:

@@ -594,6 +594,32 @@ class TestDocumentReader:
         with pytest.raises(SchemaError, match="not valid JSON"):
             decode_instance('{"m": 1' + "0" * 5000 + ', "bidders": []}')
 
+    @pytest.mark.parametrize("read, doc", [
+        (load_prices, '{"prices": [%s]}'),
+        (decode_instance, '{"m": %s, "bidders": []}'),
+        (decode_instance, '{"m": 1, "bidders": [{"type": "additive", '
+                          '"values": [%s]}]}'),
+        (decode_instance, '{"m": 1, "bidders": [{"type": "explicit", '
+                          '"table": {"": 0, "1": %s}}]}'),
+    ], ids=["price", "instance-m", "additive-value", "explicit-entry"])
+    @pytest.mark.parametrize("sign", ["", "-"], ids=["positive", "negative"])
+    def test_overlong_bare_integer_is_refused_in_the_parser_words(
+            self, read, doc, sign):
+        """json's own message for an integer past int()'s conversion limit
+        names a Python call; the reader refuses it as parse_rational
+        refuses the same digits in a string."""
+        with pytest.raises(SchemaError) as info:
+            read(doc % (sign + "1" * 5000))
+        assert str(info.value) == (
+            "document is not valid JSON: a number of 5000 digits exceeds "
+            f"the limit of {sys.get_int_max_str_digits()} digits")
+        assert "set_int_max_str_digits" not in str(info.value)
+
+    def test_a_long_integer_within_the_limit_still_reads(self):
+        digits = "9" * sys.get_int_max_str_digits()
+        assert load_prices('{"prices": [%s]}' % digits).prices == \
+            (F(int(digits)),)
+
     @pytest.mark.parametrize("read, where", [
         (lambda raw: load_prices(json.dumps({"prices": [raw]})), "prices[0]"),
         (lambda raw: decode_instance(json.dumps(

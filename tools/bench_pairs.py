@@ -16,7 +16,10 @@ count metrics of both sides are recorded side by side.
 
 The output holds, per cell and side, every run's end-to-end metrics,
 passes and digest, their medians and quartiles (inclusive method), the
-pairs the change won, and per metric whether a claimed gain would hold.  Standard library only.
+pairs the change won, and per metric whether a claimed gain would hold.
+Beside them, each side's median pass count and median peak_rss_mib, with
+the RSS difference per extra pass, since the harness's own records grow
+with the pass count.  Standard library only.
 """
 
 from __future__ import annotations
@@ -144,6 +147,31 @@ def compare(parent: dict, change: dict, contract: list[dict]) -> dict:
             "claim_rule_met": claim}
 
 
+def rss_by_passes(parent: dict, change: dict) -> dict:
+    """Each side's median pass count beside its median peak_rss_mib, and
+    the RSS difference per extra pass of the change.
+
+    The harness keeps records for every pass, so a side that runs more
+    passes reads a higher RSS for that alone; this tells that growth from
+    the program's own.  The per-pass figure is None when the medians run
+    equally many passes or a report has no pass count.
+    """
+    out = {}
+    for side, summary in (("parent", parent), ("change", change)):
+        passes = summary["passes"]
+        out[side] = {
+            "median_passes": (statistics.median(passes)
+                              if None not in passes else None),
+            "peak_rss_mib": summary["metrics"]["peak_rss_mib"]["median"]}
+    before, after = out["parent"], out["change"]
+    extra = (None if None in (before["median_passes"], after["median_passes"])
+             else after["median_passes"] - before["median_passes"])
+    rise = after["peak_rss_mib"] - before["peak_rss_mib"]
+    out["extra_passes"] = extra
+    out["mib_per_extra_pass"] = round(rise / extra, 4) if extra else None
+    return out
+
+
 def traced_counts(report: dict) -> dict:
     return {name: entry["value"] for name, entry in sorted(report["metrics"].items())
             if entry["unit"] == "count"}
@@ -191,7 +219,9 @@ def main(argv=None) -> int:
         summary = {side: summarise_side(sides[side], names) for side in SIDES}
         cells[f"{workload} seed {seed}"] = {
             **summary, **compare(summary["parent"], summary["change"],
-                                 contract["end_to_end"])}
+                                 contract["end_to_end"]),
+            "peak_rss_by_passes": rss_by_passes(summary["parent"],
+                                                summary["change"])}
     host = reports[plan[0][0], plan[0][1]]["parent"][0]["meta"]
     result = {
         "command": f"python3 perfbench/run.py --workload <w> --seed <s> "
