@@ -6,8 +6,8 @@ deterministic inputs; wall-clock timing lives in a separate key so reports
 can be compared ignoring it.  Exit codes: 0 success, 1 domain failure
 (a mismatching --compare, a failed --expect, a broken rule), 2 usage,
 schema or file errors (an unreadable input, an unwritable --out), 3
-internal error (such as the two submodularity checkers disagreeing, or an
-arithmetic error such as an overflow), which signals a bug in auctionkit,
+internal error: any other exception, such as the two submodularity checkers
+disagreeing, an overflow or a KeyError, which signals a bug in auctionkit,
 never a property of the input.
 """
 
@@ -19,6 +19,7 @@ import functools
 import io
 import sys
 import time
+import traceback
 from fractions import Fraction
 
 from . import __version__
@@ -356,8 +357,9 @@ def main(argv=None) -> int:
     except (AuctionkitError, OSError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeError, ArithmeticError) as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:  # anything unnamed above is a bug in auctionkit
+        print(f"internal error: {exc} ({type(exc).__name__})", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
         return 3
     report = {
         "command": invocation,

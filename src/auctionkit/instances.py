@@ -4,7 +4,8 @@ This module is the package's only JSON reader and writer: instance and price
 documents, demand results and auction traces all go through `dumps` and
 `_load_document`.  Documents are UTF-8, and a repeated object key is refused.
 
-Instance documents are JSON with exactly the keys m / bidders / metadata.
+Instance documents are JSON with exactly the keys m / bidders / metadata,
+and at least one bidder.
 Rationals are canonical "num/den" strings with bare integers as shorthand;
 decoding rejects non-canonical forms like "2/4" unless asked to normalize.
 Explicit tables are keyed by comma-joined item lists ("" is the empty set)
@@ -66,8 +67,14 @@ def _check_range(name: str, lo: int, hi: int) -> None:
         raise ValueError(f"{name} must satisfy 0 <= lo <= hi, got ({lo}, {hi})")
 
 
+def _check_bidders(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+
+
 def gen_additive(n: int, m: int, value_range: tuple[int, int], seed: int) -> Instance:
     """n additive bidders over m items; values uniform integers in the range."""
+    _check_bidders(n)
     lo, hi = value_range
     _check_range("value_range", lo, hi)
     rng = random.Random(seed)
@@ -83,6 +90,7 @@ def gen_additive(n: int, m: int, value_range: tuple[int, int], seed: int) -> Ins
 
 
 def gen_unit_demand(n: int, m: int, value_range: tuple[int, int], seed: int) -> Instance:
+    _check_bidders(n)
     lo, hi = value_range
     _check_range("value_range", lo, hi)
     rng = random.Random(seed)
@@ -99,6 +107,7 @@ def gen_unit_demand(n: int, m: int, value_range: tuple[int, int], seed: int) -> 
 
 def gen_budget_additive(n: int, m: int, value_range: tuple[int, int],
                         budget_range: tuple[int, int], seed: int) -> Instance:
+    _check_bidders(n)
     lo, hi = value_range
     blo, bhi = budget_range
     _check_range("value_range", lo, hi)
@@ -178,85 +187,47 @@ def gen_multipeak(m: int, s: int, k: int, eps: Fraction, n: int, seed: int,
 _INFINITY = float("inf")
 
 
-def _float_text(x: float) -> str:
-    """A float as json spells it, NaN and the infinities included."""
-    if x != x:
-        return "NaN"
-    if x == _INFINITY:
-        return "Infinity"
-    if x == -_INFINITY:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-def _key_text(key: Any) -> str:
-    """An object key as json converts it; other key types are refused."""
-    if isinstance(key, str):
-        return key
-    if isinstance(key, float):
-        return _float_text(key)
-    if key is True:
-        return "true"
-    if key is False:
-        return "false"
-    if key is None:
-        return "null"
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, "
-                    f"not {key.__class__.__name__}")
-
-
 def _write(value: Any, out: list[str], newline: str) -> None:
     """Append the JSON text of value to out.  newline is a line break plus
     the indent of the line value starts on; members go one indent deeper.
 
-    Exact str, int, list, tuple and dict come first; everything else
-    follows json's order, so None and the booleans precede int, and
-    subclasses are written as their base type.  A container's str and int
-    members are written inline, and every container member is written by
-    one recursive call, so nesting costs one frame per level."""
+    value must lie in the data model `_load_document` returns: a dict with
+    str keys, a list, str, int, finite float, bool or None, each of exactly
+    that type.  Any other value or key is a TypeError, as in json, and NaN
+    or an infinity is the ValueError json raises with allow_nan=False.  A
+    container's str and int members are written inline, and every other
+    member by one recursive call, so nesting costs one frame per level."""
     kind = type(value)
     if kind is str:
         out.append(_encode_str(value))
         return
-    if kind is dict or kind is list or kind is tuple:
-        pass
-    elif kind is int:
+    if kind is int:
         out.append(int.__repr__(value))
         return
-    elif isinstance(value, str):
-        out.append(_encode_str(value))
+    if kind is not dict and kind is not list:
+        if kind is float:
+            if not math.isfinite(value):
+                raise ValueError("Out of range float values are not JSON "
+                                 f"compliant: {value!r}")
+            out.append(float.__repr__(value))
+        elif kind is bool:
+            out.append("true" if value else "false")
+        elif value is None:
+            out.append("null")
+        else:
+            raise TypeError(f"Object of type {kind.__name__} "
+                            f"is not JSON serializable")
         return
-    elif value is None:
-        out.append("null")
-        return
-    elif value is True:
-        out.append("true")
-        return
-    elif value is False:
-        out.append("false")
-        return
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-        return
-    elif isinstance(value, float):
-        out.append(_float_text(value))
-        return
-    elif not isinstance(value, (list, tuple, dict)):
-        raise TypeError(f"Object of type {value.__class__.__name__} "
-                        f"is not JSON serializable")
-    is_object = isinstance(value, dict)
     if not value:
-        out.append("{}" if is_object else "[]")
+        out.append("{}" if kind is dict else "[]")
         return
     inner = newline + "  "
     separator = "," + inner
     first = len(out)
-    if is_object:
+    if kind is dict:
         for key, member in sorted(value.items()):
             if type(key) is not str:
-                key = _key_text(key)
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
             out.append(separator + _encode_str(key) + ": ")
             kind = type(member)
             if kind is int:
@@ -286,12 +257,13 @@ def _write(value: Any, out: list[str], newline: str) -> None:
 def dumps(doc: Any) -> str:
     """The one JSON writer: sorted keys, two-space indent, a final newline.
 
-    The text equals ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``
-    byte for byte, and what json refuses to write is a TypeError here too;
-    the tests hold dumps to that reference.  The text is built in one pass
-    into one list, because with an indent json runs its pure-Python
-    encoder.  A document that contains itself ends in RecursionError, where
-    json raises ValueError."""
+    It writes exactly the documents `_load_document` reads, and the text
+    equals ``json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+    + "\\n"`` byte for byte; the tests hold dumps to that reference and to
+    reading back equal.  The text is built in one pass into one list,
+    because with an indent json runs its pure-Python encoder.  A document
+    that contains itself ends in RecursionError, where json raises
+    ValueError."""
     out: list[str] = []
     _write(doc, out, "\n")
     out.append("\n")
@@ -336,9 +308,9 @@ def _load_document(data: Union[bytes, str]) -> Any:
     """The one JSON reader.  Bytes are decoded as UTF-8; anything that does
     not read as one JSON document with unique keys is a SchemaError.  So
     are NaN, Infinity and -Infinity, which json reads but JSON lacks, and a
-    number too large for a float, which json reads as inf: `dumps` would
-    echo either back as text a strict parser refuses.  So is an integer
-    past Python's digit conversion limit, in parse_rational's words."""
+    number too large for a float, which json reads as inf: `dumps` refuses
+    to write either.  So is an integer past Python's digit conversion
+    limit, in parse_rational's words."""
     try:
         text = data.decode() if isinstance(data, bytes) else data
         return _parse(text)
@@ -565,6 +537,9 @@ def decode_instance(data: Union[bytes, str], *,
     m = doc["m"]
     _expect(_is_positive_int(m), "m: expected a positive integer")
     _expect(isinstance(doc["bidders"], list), "bidders: expected a list")
+    # Without bidders nothing in the document grows with m, so nothing
+    # bounds it.
+    _expect(len(doc["bidders"]) > 0, "bidders: expected at least one bidder")
     index: dict[str, int] = {}
     # A bidder document identical to an earlier one decodes to the earlier
     # bidder's object, so the copies share one value table and demand query.

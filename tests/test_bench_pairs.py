@@ -125,6 +125,19 @@ def test_rss_per_pass_needs_a_difference_in_passes():
     assert unknown["mib_per_extra_pass"] is None
 
 
+def _digests(*digests):
+    return bench_pairs.summarise_side([_report(100, 40, 10, d) for d in digests],
+                                      ["tasks_per_s"])
+
+
+def test_outputs_equal_needs_one_digest_on_both_sides():
+    assert bench_pairs.outputs_equal(_digests("d1", "d1"), _digests("d1", "d1", "d1"))
+    assert not bench_pairs.outputs_equal(_digests("d1", "d1"), _digests("d2", "d2"))
+    assert not bench_pairs.outputs_equal(_digests("d1", "d1"), _digests("d1", "d2"))
+    assert not bench_pairs.outputs_equal(_digests("d1", "d2"), _digests("d1", "d1"))
+    assert not bench_pairs.outputs_equal(_digests("d1", "d2"), _digests("d1", "d2"))
+
+
 def test_plan_cells_parse():
     assert bench_pairs.parse_plan("ud_grid:1:3") == ("ud_grid", 1, 3)
     with pytest.raises(argparse.ArgumentTypeError, match="WORKLOAD:SEED:PAIRS"):

@@ -69,6 +69,17 @@ class TestGen:
         assert json.loads(target.read_text())["m"] == 3
 
 
+    @pytest.mark.parametrize("family", ["additive", "unit-demand",
+                                        "budget-additive", "multipeak"])
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_no_bidders_exits_2(self, capsys, family, n):
+        code = main(["gen", family, "--n", n, "--m", "3", "--s", "3",
+                     "--k", "1"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert "n must be positive" in err
+
+
 class TestDemand:
     def test_compare_matches_at_zero(self, capsys, mp1_file, zero_prices_file):
         code, report = run_json(capsys, "demand", mp1_file, zero_prices_file,
@@ -157,6 +168,19 @@ class TestValidate:
         assert "internal error: int too large" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("error", [KeyError, IndexError, MemoryError])
+    def test_any_unnamed_exception_exits_3(self, capsys, monkeypatch, mp1_file,
+                                           error):
+        def broken(args):
+            raise error("lost")
+
+        monkeypatch.setitem(cli._HANDLERS, "validate", broken)
+        assert main(["validate", mp1_file]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: ")
+        assert error.__name__ in err
+
+
 class TestUnreadableDocuments:
     """Documents the reader refuses exit 2 with a message, never 3."""
 
@@ -181,6 +205,17 @@ class TestUnreadableDocuments:
                 ["demand", mp1_file, str(bad)])
         assert main(argv) == 2
         assert message in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("argv", [["validate"], ["auction", "--rule", "greedy"]])
+    def test_a_document_without_bidders_exits_2(self, capsys, tmp_path, argv):
+        """Nothing in such a document bounds m, so an auction on it would
+        start by allocating m prices."""
+        bad = tmp_path / "empty.json"
+        bad.write_bytes(b'{"m": 4611686018427387904, "bidders": []}')
+        assert main([argv[0], str(bad), *argv[1:]]) == 2
+        assert "bidders: expected at least one bidder" in \
+            capsys.readouterr().err
 
 
 class TestUnwritableOut:

@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from auctionkit.cli import main
+from auctionkit.instances import _load_document, dumps
 from auctionkit.rationals import format_rational
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -143,12 +144,19 @@ def run_case(name: str, workdir: Path) -> str:
     finally:
         os.chdir(here)
     stdout = out.getvalue()
+    written = ((workdir / argv[argv.index("--out") + 1]).read_text()
+               if "--out" in argv else "")
+    if "--format" not in argv:
+        # A JSON report or document reads back as written, before any
+        # masking: dumps writes only what the reader returns.
+        for text in (stdout, written):
+            if text:
+                assert dumps(_load_document(text)) == text
     if argv[0] == "bench":
         stdout = _bench_json(stdout) if "csv" not in argv else _bench_csv(stdout)
     stdout = _TIMING.sub(r"\g<1><elapsed>", stdout)
     text = f"exit: {code}\n--- stdout\n{stdout}"
     if "--out" in argv:
-        written = (workdir / argv[argv.index("--out") + 1]).read_text()
         text += f"--- {argv[argv.index('--out') + 1]}\n"
         text += _TIMING.sub(r"\g<1><elapsed>", written)
     return text

@@ -4,6 +4,7 @@ import ast
 import collections
 import enum
 import json
+import re
 import sys
 from fractions import Fraction as F
 from pathlib import Path
@@ -22,7 +23,7 @@ from auctionkit import (Additive, Explicit, Instance, ItemSet, PriceVector,
                         gen_unit_demand, load_prices, validate_set_system)
 from auctionkit.errors import (GroundSetTooLargeError,
                                InfeasibleGenerationError, SchemaError)
-from auctionkit.instances import dumps
+from auctionkit.instances import _identical, _load_document, dumps
 from auctionkit.rationals import format_rational, parse_rational
 from auctionkit.valuations import value_table
 
@@ -51,6 +52,17 @@ class TestGenerators:
         inst = gen_multipeak(8, 4, 2, F(1, 2), 3, seed=9, share_system=False)
         systems = {v.system for v in inst.bidders}
         assert len(systems) >= 2  # astronomically unlikely to all collide
+
+    @pytest.mark.parametrize("generate", [
+        lambda n: gen_additive(n, 3, (0, 5), seed=0),
+        lambda n: gen_unit_demand(n, 3, (0, 5), seed=0),
+        lambda n: gen_budget_additive(n, 3, (0, 5), (0, 10), seed=0),
+        lambda n: gen_multipeak(8, 4, 2, F(1, 2), n, seed=0),
+    ], ids=["additive", "unit-demand", "budget-additive", "multipeak"])
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_every_generator_needs_a_bidder(self, generate, n):
+        with pytest.raises(ValueError, match="n must be positive"):
+            generate(n)
 
     def test_budget_additive_basics(self):
         inst = gen_budget_additive(2, 3, (1, 5), (3, 6), seed=7)
@@ -363,6 +375,14 @@ class TestDecodeValidation:
         with pytest.raises(SchemaError, match="nonnegative"):
             decode_instance(doc)
 
+    @pytest.mark.parametrize("m", [1, 4611686018427387904])
+    def test_a_document_needs_a_bidder(self, m):
+        """Nothing in a document without bidders grows with m, so nothing
+        would bound it."""
+        with pytest.raises(SchemaError,
+                           match="bidders: expected at least one bidder"):
+            decode_instance(json.dumps({"m": m, "bidders": []}))
+
     def test_unexpected_top_level_key(self):
         with pytest.raises(SchemaError, match="unexpected keys"):
             decode_instance(json.dumps({"m": 1, "bidders": [], "extra": 1}))
@@ -654,7 +674,8 @@ class TestDocumentReader:
             load_prices('{"prices": [%s]}' % number)
 
     def test_finite_floats_still_read(self):
-        doc = '{"m": 1, "bidders": [], "metadata": {"x": 1.5, "y": -0.0}}'
+        doc = ('{"m": 1, "bidders": [{"type": "additive", "values": [1]}], '
+               '"metadata": {"x": 1.5, "y": -0.0}}')
         assert decode_instance(doc).metadata == {"x": 1.5, "y": -0.0}
 
     def test_prices_use_the_value_list_messages(self):
@@ -697,7 +718,7 @@ class TestOneCodec:
 
 def _json_dumps(doc) -> str:
     """The reference route for dumps: json's own encoder."""
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _outcome(write, doc):
@@ -731,59 +752,100 @@ class _Items(list):
 
 _TEXT = st.text(st.characters(exclude_categories=())) | st.sampled_from(
     ["", "\x00\x1f\x7f", "\n\t\"\\/", "\u00e9\u0661", "\U0001f600", "\ud800"])
+# The reader's data model: what _load_document returns.
 _JSON_LEAVES = st.one_of(
     st.none(), st.booleans(),
     st.integers(), st.integers(-(2 ** 80), 2 ** 80),
     st.sampled_from([2 ** 63, -(2 ** 63) - 1, 2 ** 64, -(2 ** 64)]),
-    st.floats(),
-    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308]),
     _TEXT)
 _JSON_DOCS = st.recursive(
     _JSON_LEAVES,
-    lambda members: (st.lists(members) | st.lists(members).map(tuple)
-                     | st.dictionaries(_TEXT, members)),
+    lambda members: st.lists(members) | st.dictionaries(_TEXT, members),
     max_leaves=40)
 
 
 class TestWriter:
-    """dumps writes what json.dumps(sort_keys=True, indent=2) writes, plus a
-    final newline, and refuses what json cannot write with the same
-    TypeError."""
+    """dumps writes exactly the reader's data model, as
+    json.dumps(sort_keys=True, indent=2, allow_nan=False) writes it plus a
+    final newline, and the text reads back equal.  Every other value is
+    refused with json's exception type."""
 
     @given(_JSON_DOCS)
     @settings(max_examples=200, deadline=None)
     def test_matches_json_on_documents(self, doc):
-        assert dumps(doc) == _json_dumps(doc)
+        text = dumps(doc)
+        assert text == _json_dumps(doc)
+        assert _identical(_load_document(text), doc)
 
-    @pytest.mark.parametrize("doc", [
-        {2: "a", 10: "b"},
-        {1.5: 0, -0.0: 1, float("inf"): 2, float("-inf"): 3},
-        {float("nan"): 0},
-        {True: 0, False: 1},
-        {False: 0, 2: 1, 1.5: 2},
-        {None: 0},
-        {_Level.HIGH: 0, _Level.LOW: 1},
-        {_Name("b"): 0, "a": 1},
-        [_Level.LOW, _Level.HIGH, {"level": _Level.HIGH}],
-        [_Ratio(0.5), _Ratio("nan"), _Ratio("inf"), _Name("x\u00e9")],
-        _Mapping(b=[1], a=_Mapping()),
-        collections.OrderedDict([("z", 1), ("a", (2, 3))]),
-        _Items([1, _Items(), ()]),
-        _Level.LOW, _Ratio(-0.0), _Name(""), "", 0, None, True, [], {}, (),
+    @pytest.mark.parametrize("doc, refused", [
+        ({2: "a", 10: "b"}, "keys must be str, not int"),
+        ({1.5: 0, -0.0: 1, float("inf"): 2, float("-inf"): 3},
+         "keys must be str, not float"),
+        ({float("nan"): 0}, "keys must be str, not float"),
+        ({True: 0, False: 1}, "keys must be str, not bool"),
+        ({False: 0, 2: 1, 1.5: 2}, "keys must be str, not bool"),
+        ({None: 0}, "keys must be str, not NoneType"),
+        ({_Level.HIGH: 0, _Level.LOW: 1}, "keys must be str, not _Level"),
+        ({_Name("b"): 0, "a": 1}, "keys must be str, not _Name"),
+        ({(1, 2): 0}, "keys must be str, not tuple"),
+        ({b"k": 0}, "keys must be str, not bytes"),
+        ([_Level.LOW, _Level.HIGH, {"level": _Level.HIGH}],
+         "Object of type _Level is not JSON serializable"),
+        ([_Ratio(0.5), _Ratio("nan"), _Ratio("inf"), _Name("x\u00e9")],
+         "Object of type _Ratio is not JSON serializable"),
+        (_Mapping(b=[1], a=_Mapping()),
+         "Object of type _Mapping is not JSON serializable"),
+        (collections.OrderedDict([("z", 1), ("a", (2, 3))]),
+         "Object of type OrderedDict is not JSON serializable"),
+        (_Items([1, _Items(), ()]),
+         "Object of type _Items is not JSON serializable"),
+        (_Level.LOW, "Object of type _Level is not JSON serializable"),
+        (_Ratio(-0.0), "Object of type _Ratio is not JSON serializable"),
+        (_Name(""), "Object of type _Name is not JSON serializable"),
+        ("", None), (0, None), (None, None), (True, None), ([], None), ({}, None),
+        ((), "Object of type tuple is not JSON serializable"),
     ], ids=["int-keys", "float-keys", "nan-key", "bool-keys",
             "mixed-number-keys", "none-key", "intenum-keys", "str-subclass-key",
+            "tuple-key", "bytes-key",
             "intenum-values", "float-and-str-subclasses", "dict-subclass",
             "ordered-dict", "list-subclass", "top-intenum", "top-float-subclass",
             "top-str-subclass", "top-str", "top-int", "top-none", "top-bool",
             "top-list", "top-dict", "top-tuple"])
-    def test_keys_and_subclasses(self, doc):
-        assert dumps(doc) == _json_dumps(doc)
+    def test_keys_and_subclasses(self, doc, refused):
+        """The reader returns str keys and values of exact types, and reads a
+        tuple back as a list, so dumps refuses every other key and type; a
+        value of the reader's data model is written as json writes it."""
+        if refused is None:
+            assert dumps(doc) == _json_dumps(doc)
+        else:
+            with pytest.raises(TypeError, match=f"^{re.escape(refused)}$"):
+                dumps(doc)
+
+    @pytest.mark.parametrize("doc", [
+        [1, (2, 3)], {"a": ()}, {"a": {"b": [None, _Name("c")]}},
+    ], ids=["tuple-member", "tuple-value", "deep-str-subclass"])
+    def test_refused_at_any_depth(self, doc):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            dumps(doc)
+
+    @pytest.mark.parametrize("doc", [
+        float("nan"), float("inf"), float("-inf"),
+        [1.5, {"x": float("nan")}], {"a": [float("-inf")]},
+    ], ids=["nan", "inf", "minus-inf", "nan-member", "minus-inf-member"])
+    def test_non_finite_floats_are_refused_as_json_refuses_them(self, doc):
+        with pytest.raises(ValueError) as reference:
+            _json_dumps(doc)
+        with pytest.raises(ValueError) as written:
+            dumps(doc)
+        assert str(written.value) == str(reference.value)
 
     @pytest.mark.parametrize("doc", [
         set(), {"a": {1, 2}}, [b"x"], object(), {"a": [object()]},
-        {1: 0, "a": 0}, {None: 0, "a": 0}, {(1, 2): 0}, {b"k": 0},
+        {1: 0, "a": 0}, {None: 0, "a": 0},
     ], ids=["set", "set-member", "bytes", "object", "object-member",
-            "int-and-str-keys", "none-and-str-keys", "tuple-key", "bytes-key"])
+            "int-and-str-keys", "none-and-str-keys"])
     def test_refusals_match(self, doc):
         with pytest.raises(TypeError):
             dumps(doc)

@@ -19,7 +19,8 @@ passes and digest, their medians and quartiles (inclusive method), the
 pairs the change won, and per metric whether a claimed gain would hold.
 Beside them, each side's median pass count and median peak_rss_mib, with
 the RSS difference per extra pass, since the harness's own records grow
-with the pass count.  Standard library only.
+with the pass count, and `outputs_equal`: whether every run of both sides
+reported one and the same results digest.  Standard library only.
 """
 
 from __future__ import annotations
@@ -101,6 +102,13 @@ def summarise_side(reports: list[dict], names: list[str]) -> dict:
             "results_sha256": sorted({r["meta"]["results_sha256"] for r in reports}),
             "passes": [r["meta"].get("passes") for r in reports],
             "failed": sum(r["meta"]["failed"] for r in reports)}
+
+
+def outputs_equal(parent: dict, change: dict) -> bool:
+    """Whether every run of both sides reported one and the same
+    results_sha256."""
+    digests = parent["results_sha256"]
+    return len(digests) == 1 and change["results_sha256"] == digests
 
 
 def compare(parent: dict, change: dict, contract: list[dict]) -> dict:
@@ -220,6 +228,7 @@ def main(argv=None) -> int:
         cells[f"{workload} seed {seed}"] = {
             **summary, **compare(summary["parent"], summary["change"],
                                  contract["end_to_end"]),
+            "outputs_equal": outputs_equal(summary["parent"], summary["change"]),
             "peak_rss_by_passes": rss_by_passes(summary["parent"],
                                                 summary["change"])}
     host = reports[plan[0][0], plan[0][1]]["parent"][0]["meta"]
