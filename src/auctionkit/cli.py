@@ -175,6 +175,8 @@ def _cmd_auction(args) -> tuple[dict, int, None]:
 
 
 def _cmd_bench(args) -> tuple[dict, int, None]:
+    if args.count < 1:
+        raise ValueError(f"--count must be positive, got {args.count}")
     rows = []
     rng_prices = [Fraction(0), Fraction(1, 8), Fraction(1, 2), Fraction(1)]
     for idx in range(args.count):

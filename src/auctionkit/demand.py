@@ -374,15 +374,20 @@ def multipeak_demand(valuation: MultiPeak, prices: PriceVector) -> DemandResult:
                         ItemSet.from_mask(best_mask), argmax_count=None)
 
 
+def _margins(valuation, prices: PriceVector) -> list[Fraction]:
+    """Value minus price of items 1..m, for a class given by one value per
+    item."""
+    if valuation.num_items != prices.num_items:
+        raise ValueError("valuation and prices disagree on the ground set size")
+    return [value - price for value, price in zip(valuation.values, prices.prices)]
+
+
 def additive_demand(valuation: Additive, prices: PriceVector) -> DemandResult:
     """Closed form: take exactly the items with positive margin."""
     if not isinstance(valuation, Additive):
         raise TypeError("additive_demand needs an Additive valuation")
-    if valuation.num_items != prices.num_items:
-        raise ValueError("valuation and prices disagree on the ground set size")
     taken, gain, ties = [], Fraction(0), 0
-    for j in range(1, valuation.num_items + 1):
-        margin = valuation.values[j - 1] - prices.price_of(j)
+    for j, margin in enumerate(_margins(valuation, prices), start=1):
         if margin > 0:
             taken.append(j)
             gain += margin
@@ -395,11 +400,8 @@ def unit_demand_demand(valuation: UnitDemand, prices: PriceVector) -> DemandResu
     """Closed form: the lowest-index best single item, or nothing."""
     if not isinstance(valuation, UnitDemand):
         raise TypeError("unit_demand_demand needs a UnitDemand valuation")
-    if valuation.num_items != prices.num_items:
-        raise ValueError("valuation and prices disagree on the ground set size")
     best_item, best_gain = None, Fraction(0)
-    for j in range(1, valuation.num_items + 1):
-        margin = valuation.values[j - 1] - prices.price_of(j)
+    for j, margin in enumerate(_margins(valuation, prices), start=1):
         if margin > best_gain:
             best_item, best_gain = j, margin
     if best_item is None:

@@ -18,7 +18,8 @@ from typing import Optional, Union
 
 from .errors import GridTooLargeError
 from .itemsets import EMPTY_SET, ItemSet
-from .demand import PriceVector, _demand_masks, demand_oracle, utility
+from .demand import (PriceVector, _demand_masks, _margins, demand_oracle,
+                     utility)
 from .valuations import LIMITS, UnitDemand, _guard_items, eval_valuation
 
 
@@ -116,7 +117,7 @@ def _demanded_items(instance, prices: PriceVector) -> list[list[int]]:
     _check_ground_set(instance, prices)
     demanded = []
     for v in instance.bidders:
-        margins = [value - price for value, price in zip(v.values, prices.prices)]
+        margins = _margins(v, prices)
         best = max(margins)
         demanded.append([j for j, margin in enumerate(margins, start=1)
                          if margin == best] if best > 0 else [])

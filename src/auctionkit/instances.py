@@ -62,68 +62,52 @@ class Instance:
                     f"instance has {self.num_items}")
 
 
-def _check_range(name: str, lo: int, hi: int) -> None:
-    if lo < 0 or hi < lo:
-        raise ValueError(f"{name} must satisfy 0 <= lo <= hi, got ({lo}, {hi})")
+# The file tag of each class given by one value per item.  A budget is the
+# only field any of them has beside its values.
+_ITEM_VALUE_TAGS = {Additive: "additive", UnitDemand: "unit_demand",
+                    BudgetAdditive: "budget_additive"}
 
 
-def _check_bidders(n: int) -> None:
+def _gen_item_values(cls, n: int, m: int, seed: int,
+                     **ranges: tuple[int, int]) -> Instance:
+    """n bidders of an item-value class over m items.  Each draws m values
+    uniform in value_range, then a budget uniform in budget_range if one is
+    given."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
+    family = _ITEM_VALUE_TAGS[cls]
+    params = {"family": family, "n": n, "m": m}
+    for name, (lo, hi) in ranges.items():
+        if lo < 0 or hi < lo:
+            raise ValueError(f"{name} must satisfy 0 <= lo <= hi, got ({lo}, {hi})")
+        params[name] = [lo, hi]
+    lo, hi = params["value_range"]
+    budgets = [params["budget_range"]] if "budget_range" in params else []
+    rng = random.Random(seed)
+    bidders = tuple(
+        cls(tuple(Fraction(rng.randint(lo, hi)) for _ in range(m)),
+            *[Fraction(rng.randint(*budget)) for budget in budgets])
+        for _ in range(n))
+    return Instance(m, bidders, metadata={
+        "name": f"{family.replace('_', '-')}-n{n}-m{m}-seed{seed}",
+        "seed": seed,
+        "generator_params": params,
+    })
 
 
 def gen_additive(n: int, m: int, value_range: tuple[int, int], seed: int) -> Instance:
     """n additive bidders over m items; values uniform integers in the range."""
-    _check_bidders(n)
-    lo, hi = value_range
-    _check_range("value_range", lo, hi)
-    rng = random.Random(seed)
-    bidders = tuple(
-        Additive(tuple(Fraction(rng.randint(lo, hi)) for _ in range(m)))
-        for _ in range(n))
-    return Instance(m, bidders, metadata={
-        "name": f"additive-n{n}-m{m}-seed{seed}",
-        "seed": seed,
-        "generator_params": {"family": "additive", "n": n, "m": m,
-                             "value_range": [lo, hi]},
-    })
+    return _gen_item_values(Additive, n, m, seed, value_range=value_range)
 
 
 def gen_unit_demand(n: int, m: int, value_range: tuple[int, int], seed: int) -> Instance:
-    _check_bidders(n)
-    lo, hi = value_range
-    _check_range("value_range", lo, hi)
-    rng = random.Random(seed)
-    bidders = tuple(
-        UnitDemand(tuple(Fraction(rng.randint(lo, hi)) for _ in range(m)))
-        for _ in range(n))
-    return Instance(m, bidders, metadata={
-        "name": f"unit-demand-n{n}-m{m}-seed{seed}",
-        "seed": seed,
-        "generator_params": {"family": "unit_demand", "n": n, "m": m,
-                             "value_range": [lo, hi]},
-    })
+    return _gen_item_values(UnitDemand, n, m, seed, value_range=value_range)
 
 
 def gen_budget_additive(n: int, m: int, value_range: tuple[int, int],
                         budget_range: tuple[int, int], seed: int) -> Instance:
-    _check_bidders(n)
-    lo, hi = value_range
-    blo, bhi = budget_range
-    _check_range("value_range", lo, hi)
-    _check_range("budget_range", blo, bhi)
-    rng = random.Random(seed)
-    bidders = tuple(
-        BudgetAdditive(tuple(Fraction(rng.randint(lo, hi)) for _ in range(m)),
-                       Fraction(rng.randint(blo, bhi)))
-        for _ in range(n))
-    return Instance(m, bidders, metadata={
-        "name": f"budget-additive-n{n}-m{m}-seed{seed}",
-        "seed": seed,
-        "generator_params": {"family": "budget_additive", "n": n, "m": m,
-                             "value_range": [lo, hi],
-                             "budget_range": [blo, bhi]},
-    })
+    return _gen_item_values(BudgetAdditive, n, m, seed, value_range=value_range,
+                            budget_range=budget_range)
 
 
 def _draw_system(rng: random.Random, m: int, s: int, k: int,
@@ -341,16 +325,12 @@ def _subset_keys(m: int) -> list[str]:
 
 
 def _encode_bidder(v: Valuation) -> dict:
-    if isinstance(v, Additive):
-        return {"type": "additive",
-                "values": [format_rational(x) for x in v.values]}
-    if isinstance(v, UnitDemand):
-        return {"type": "unit_demand",
-                "values": [format_rational(x) for x in v.values]}
-    if isinstance(v, BudgetAdditive):
-        return {"type": "budget_additive",
-                "values": [format_rational(x) for x in v.values],
-                "budget": format_rational(v.budget)}
+    for cls, tag in _ITEM_VALUE_TAGS.items():
+        if isinstance(v, cls):
+            doc = {"type": tag, "values": [format_rational(x) for x in v.values]}
+            if isinstance(v, BudgetAdditive):
+                doc["budget"] = format_rational(v.budget)
+            return doc
     if isinstance(v, MultiPeak):
         return {"type": "multi_peak",
                 "s": v.system.peak_size,
@@ -454,23 +434,20 @@ def _decode_bidder(raw: Any, m: int, where: str, canonicalize: bool,
     _expect(isinstance(raw, dict), f"{where}: expected an object")
     kind = raw.get("type")
     try:
-        if kind == "additive":
-            _expect(set(raw) == {"type", "values"}, f"{where}: unexpected keys")
-            return Additive(_parse_values(raw["values"], m, f"{where}.values",
-                                          canonicalize))
-        if kind == "unit_demand":
-            _expect(set(raw) == {"type", "values"}, f"{where}: unexpected keys")
-            return UnitDemand(_parse_values(raw["values"], m, f"{where}.values",
-                                            canonicalize))
-        if kind == "budget_additive":
-            _expect(set(raw) == {"type", "values", "budget"},
-                    f"{where}: unexpected keys")
-            budget = parse_rational(raw["budget"], canonicalize=canonicalize,
-                                    where=f"{where}.budget")
-            _expect(budget >= 0, f"{where}.budget: must be nonnegative")
-            return BudgetAdditive(
-                _parse_values(raw["values"], m, f"{where}.values", canonicalize),
-                budget)
+        for cls, tag in _ITEM_VALUE_TAGS.items():
+            if kind != tag:
+                continue
+            budgeted = cls is BudgetAdditive
+            keys = {"type", "values", "budget"} if budgeted else {"type", "values"}
+            _expect(set(raw) == keys, f"{where}: unexpected keys")
+            extra = []
+            if budgeted:
+                budget = parse_rational(raw["budget"], canonicalize=canonicalize,
+                                        where=f"{where}.budget")
+                _expect(budget >= 0, f"{where}.budget: must be nonnegative")
+                extra.append(budget)
+            return cls(_parse_values(raw["values"], m, f"{where}.values",
+                                     canonicalize), *extra)
         if kind == "multi_peak":
             _expect(set(raw) == {"type", "s", "k", "epsilon", "peaks"},
                     f"{where}: unexpected keys")

@@ -264,33 +264,33 @@ class Explicit:
     """Dense table of values, indexed by subset mask.
 
     The values live in the valuation's value table, integers over one
-    denominator, which `value` reads.  Explicit(m, table) takes them as
-    rationals and builds that table on first use; Explicit.from_scaled
-    takes the integers and builds it at once.
+    denominator, which `value` reads.  Both constructors build that table
+    at once: Explicit(m, table) from rationals, Explicit.from_scaled from
+    the integers.
     """
 
     num_items: int
     # A field read through a cached property: the values as Fractions,
-    # built from the value table on first read unless the constructor was
-    # given them.  Equality, hashing and repr compare and show this tuple.
+    # built from the value table on first read.  Equality, hashing and repr
+    # compare and show this tuple.
     table: tuple[Fraction, ...]
 
     def __init__(self, num_items: int, table):
-        table = _fractions(table)
-        _check_table(num_items, table, 1)
-        object.__setattr__(self, "num_items", num_items)
-        self.__dict__["table"] = table
+        self._hold(num_items, *scale(_fractions(table)))
 
     @classmethod
     def from_scaled(cls, num_items: int, nums: list[int],
                     denom: int) -> "Explicit":
         """The valuation with value(mask) = nums[mask] / denom; the checks
         and messages are the constructor's."""
-        _check_table(num_items, nums, denom)
         valuation = object.__new__(cls)
-        object.__setattr__(valuation, "num_items", num_items)
-        _keep_table(valuation, int_table(nums), denom)
+        valuation._hold(num_items, nums, denom)
         return valuation
+
+    def _hold(self, num_items: int, nums, denom: int) -> None:
+        _check_table(num_items, nums, denom)
+        object.__setattr__(self, "num_items", num_items)
+        _keep_table(self, int_table(nums), denom)
 
     @cached_property
     def table(self) -> tuple[Fraction, ...]:
@@ -299,7 +299,7 @@ class Explicit:
 
     def value(self, bundle: ItemSet) -> Fraction:
         _check_bundle(bundle, self.num_items)
-        kept = _kept_table(self)
+        kept = self._value_table
         return Fraction(int(kept.nums[bundle.mask]), kept.denom)
 
 
@@ -404,20 +404,14 @@ def _guard_items(num_items: int, what: str) -> None:
 def value_table(valuation: Valuation) -> ValueTable:
     """Dense table of exact scaled values over all 2**m subsets.
 
-    The table is built on the first call and kept on the valuation, outside
-    its dataclass fields, for as long as the valuation lives; later calls
-    return the same read-only table.
+    An Explicit valuation's table is built by its constructor.  Any other
+    valuation's is built on the first call and kept on the valuation,
+    outside its dataclass fields, for as long as the valuation lives.
+    Later calls return the same read-only table.
     """
-    return _kept_table(valuation)
-
-
-def _kept_table(valuation: Valuation) -> ValueTable:
-    """value_table's work.  Explicit.value reads its table through here, so
-    evaluating one bundle is not a value_table query."""
     table = getattr(valuation, "_value_table", None)
     if table is None:
-        m = valuation.num_items
-        _guard_items(m, "value_table")
+        _guard_items(valuation.num_items, "value_table")
         table = _keep_table(valuation, *_scaled_values(valuation))
     return table
 
@@ -440,9 +434,6 @@ def _scaled_values(valuation: Valuation) -> tuple[np.ndarray, int]:
     if isinstance(valuation, UnitDemand):
         nums, denom = scale(valuation.values)
         return int_table(nums, np.maximum), denom
-    if isinstance(valuation, Explicit):
-        nums, denom = scale(valuation.table)
-        return int_table(nums), denom
     if isinstance(valuation, MultiPeak):
         return _multipeak_scaled(valuation)
     raise TypeError(f"unknown valuation class {type(valuation).__name__}")

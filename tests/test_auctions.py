@@ -65,6 +65,43 @@ class TestEngineContract:
         with pytest.raises(RuleViolationError, match="increment"):
             run_ascending(single_item_3_5, ZeroRaiser(), 5)
 
+    @staticmethod
+    def _always(decision):
+        class Rule:
+            name = "fixed"
+
+            def __call__(self, instance, prices, demands):
+                return decision
+
+        return Rule()
+
+    @pytest.mark.parametrize("decision, message", [
+        ("stall", "rule returned 'stall'"),
+        (None, "rule returned None"),
+        (Certify(Allocation((ItemSet([1]),))),
+         "certified allocation has the wrong arity"),
+        (Certify(Allocation((ItemSet([2]), EMPTY_SET))),
+         "certified allocation assigns items outside the ground set to bidder 0"),
+        (Raise(ItemSet([1, 2]), F(1)),
+         "rule raised items outside the ground set"),
+    ], ids=["text", "none", "arity", "certified-beyond", "raised-beyond"])
+    def test_contract_refusals(self, single_item_3_5, decision, message):
+        with pytest.raises(RuleViolationError) as refused:
+            run_ascending(single_item_3_5, self._always(decision), 5)
+        assert str(refused.value) == message
+
+    @pytest.mark.parametrize("max_steps", [0, -1])
+    def test_step_limit_below_one_is_refused(self, single_item_3_5, max_steps):
+        with pytest.raises(ValueError, match="max_steps must be at least 1"):
+            run_ascending(single_item_3_5, dgs_rule(F(1)), max_steps)
+
+    @pytest.mark.parametrize("rule", [dgs_rule, english_additive_rule,
+                                      greedy_submodular_rule])
+    @pytest.mark.parametrize("increment", [F(0), F(-1, 2)])
+    def test_rules_refuse_nonpositive_increments(self, rule, increment):
+        with pytest.raises(ValueError, match="increment must be positive"):
+            rule(increment)
+
     def test_step_limit(self, single_item_3_5):
         trace = run_ascending(single_item_3_5, dgs_rule(F(1)), 2)
         assert isinstance(trace.outcome, StepLimitOutcome)

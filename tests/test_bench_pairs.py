@@ -142,3 +142,17 @@ def test_plan_cells_parse():
     assert bench_pairs.parse_plan("ud_grid:1:3") == ("ud_grid", 1, 3)
     with pytest.raises(argparse.ArgumentTypeError, match="WORKLOAD:SEED:PAIRS"):
         bench_pairs.parse_plan("ud_grid:1")
+
+
+def test_src_lines_counts_python_files_under_src(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for tree, body in ((parent, "a = 1\nb = 2\nc = 3\n"), (change, "a = 1\n")):
+        (tree / "src" / "pkg" / "sub").mkdir(parents=True)
+        (tree / "src" / "pkg" / "__init__.py").write_text("")
+        (tree / "src" / "pkg" / "core.py").write_text(body)
+        (tree / "src" / "pkg" / "sub" / "deep.py").write_text("x = 0\ny = 1\n")
+        (tree / "src" / "pkg" / "notes.txt").write_text("not\ncounted\n")
+        (tree / "tests").mkdir()
+        (tree / "tests" / "test_core.py").write_text("assert True\n")
+    assert bench_pairs.src_lines(parent) == 5
+    assert bench_pairs.src_lines(change) == 3

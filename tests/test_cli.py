@@ -329,6 +329,13 @@ class TestBench:
         assert code == 0
         assert out.splitlines()[0] == "seed,m,price_level,fast_us,brute_us,match"
 
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_count_below_one_is_refused(self, capsys, count):
+        code = main(["bench", "--family", "additive", "--count", count])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"--count must be positive, got {count}" in captured.err
+
     def test_csv_rejected_elsewhere(self, capsys, mp1_file):
         assert main(["validate", mp1_file, "--format", "csv"]) == 2
 

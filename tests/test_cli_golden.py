@@ -102,6 +102,10 @@ CASES = {
     "gen_multipeak_stdout": ["gen", "multipeak", "--m", "8", "--s", "4",
                              "--k", "2", "--eps", "1/2", "--n", "2",
                              "--seed", "42"],
+    "gen_additive_stdout": ["gen", "additive", "--n", "2", "--m", "3",
+                            "--values", "0", "9", "--seed", "11"],
+    "gen_unit_demand_stdout": ["gen", "unit-demand", "--n", "3", "--m", "2",
+                               "--seed", "5"],
     "gen_budget_additive_stdout": ["gen", "budget-additive", "--n", "2",
                                    "--m", "3", "--seed", "7"],
     "gen_out_report": ["gen", "unit-demand", "--n", "2", "--m", "2",

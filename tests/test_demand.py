@@ -363,7 +363,7 @@ class TestIntegerOracleAgainstFractions:
         def refuse(*args):
             raise AssertionError("a table over all subsets was asked for")
 
-        monkeypatch.setattr(valuations, "_kept_table", refuse)
+        monkeypatch.setattr(valuations, "_scaled_values", refuse)
         monkeypatch.setattr(valuations, "all_masks", refuse)
         monkeypatch.setattr(itemsets, "all_masks", refuse)
         peaks = tuple(ItemSet(range(15 * i + 1, 15 * i + 16)) for i in range(4))
@@ -384,11 +384,15 @@ class TestClassOracles:
         assert (r.max_utility, r.witness_set) == (2, ItemSet([1]))
         r = additive_demand(Additive((F(1), F(1))), PriceVector((F(1), F(1))))
         assert (r.max_utility, r.witness_set, r.argmax_count) == (0, ItemSet(), 4)
+        r = additive_demand(Additive(()), PriceVector.zero(0))
+        assert (r.max_utility, r.witness_set, r.argmax_count) == (0, ItemSet(), 1)
 
     def test_unit_demand_examples(self):
         r = unit_demand_demand(UnitDemand((F(3), F(5))), PriceVector.zero(2))
         assert (r.max_utility, r.witness_set) == (5, ItemSet([2]))
         r = unit_demand_demand(UnitDemand((F(3),)), PriceVector((F(3),)))
+        assert (r.max_utility, r.witness_set) == (0, ItemSet())
+        r = unit_demand_demand(UnitDemand(()), PriceVector.zero(0))
         assert (r.max_utility, r.witness_set) == (0, ItemSet())
 
     def test_budget_additive_examples(self):
@@ -712,7 +716,6 @@ class TestDemandsAt:
                            match="brute-force demand is limited to 20 items"):
             demand_oracle(wide, PriceVector.zero(21))
         assert tables == [] and utilities == []
-        assert not hasattr(table, "_value_table")
         assert not hasattr(wide, "_value_table")
 
 

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 import auctionkit.instances
 import auctionkit.valuations
-from auctionkit import (Additive, Explicit, Instance, ItemSet, PriceVector,
-                        UnitDemand, check_submodular, decode_instance,
+from auctionkit import (Additive, BudgetAdditive, Explicit, Instance, ItemSet,
+                        PriceVector, UnitDemand, check_submodular, decode_instance,
                         dump_prices, encode_instance, eval_valuation,
                         gen_additive, gen_budget_additive, gen_multipeak,
                         gen_unit_demand, load_prices, validate_set_system)
@@ -135,12 +135,17 @@ class TestRoundTrip:
             gen_budget_additive(2, 3, (0, 6), (2, 8), seed=4),
             Instance(2, (Explicit(2, (F(0), F(1, 2), F(1), F(4, 3))),),
                      {"name": "explicit-fixture"}),
+            Instance(3, (Additive((F(0), F(7, 2), F(3))),
+                         UnitDemand((F(5), F(5, 6), F(0))),
+                         BudgetAdditive((F(2), F(1, 2), F(4)), F(9, 4)),
+                         BudgetAdditive((F(0), F(0), F(0)), F(0))),
+                     {"name": "item-value-fractions"}),
         ]
         for inst in instances:
             blob = encode_instance(inst)
             decoded = decode_instance(blob)
             assert encode_instance(decoded) == blob
-            assert decoded.num_items == inst.num_items
+            assert decoded == inst
 
     @given(m=st.integers(1, 6), data=st.data())
     @settings(max_examples=40, deadline=None)

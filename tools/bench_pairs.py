@@ -20,7 +20,9 @@ pairs the change won, and per metric whether a claimed gain would hold.
 Beside them, each side's median pass count and median peak_rss_mib, with
 the RSS difference per extra pass, since the harness's own records grow
 with the pass count, and `outputs_equal`: whether every run of both sides
-reported one and the same results digest.  Standard library only.
+reported one and the same results digest.  Each side's `src_lines`, the
+newline count of its `src/**/*.py` as `wc -l` gives it, records the size of
+the code measured.  Standard library only.
 """
 
 from __future__ import annotations
@@ -54,6 +56,13 @@ def check_out(commit: str, directory: Path) -> None:
                              check=True, capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(directory, filter="data")
+
+
+def src_lines(checkout: Path) -> int:
+    """The lines of every src/**/*.py file in `checkout`, counted as wc -l
+    counts them."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in checkout.glob("src/**/*.py"))
 
 
 def parse_plan(text: str) -> tuple[str, int, int]:
@@ -240,6 +249,7 @@ def main(argv=None) -> int:
         "order": "alternating pairs; even pairs run the parent first, odd pairs "
                  "the change first; pair k of every cell ran before pair k+1 of any",
         "host": {key: host[key] for key in ("cpu_model", "nproc", "python", "numpy")},
+        "src_lines": {side: src_lines(checkouts[side]) for side in SIDES},
         "cells": cells,
     }
     traced = result["traced"] = {}
