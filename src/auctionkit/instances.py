@@ -328,7 +328,7 @@ def _encode_bidder(v: Valuation) -> dict:
     for cls, tag in _ITEM_VALUE_TAGS.items():
         if isinstance(v, cls):
             doc = {"type": tag, "values": [format_rational(x) for x in v.values]}
-            if isinstance(v, BudgetAdditive):
+            if cls is BudgetAdditive:
                 doc["budget"] = format_rational(v.budget)
             return doc
     if isinstance(v, MultiPeak):
