@@ -11,6 +11,7 @@ and yields a Hall-style witness on failure.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,7 +21,8 @@ from .errors import GridTooLargeError
 from .itemsets import EMPTY_SET, ItemSet
 from .demand import (PriceVector, _demand_masks, _margins, demand_oracle,
                      utility)
-from .valuations import LIMITS, UnitDemand, _guard_items, eval_valuation
+from .valuations import (LIMITS, Additive, BudgetAdditive, UnitDemand,
+                         _guard_items, eval_valuation, value_table)
 
 
 @dataclass(frozen=True)
@@ -233,13 +235,36 @@ def is_price_envy_free(instance, prices: PriceVector) -> bool:
     return envy_free_allocation(instance, prices).envy_free
 
 
+def _largest_marginals(valuation, singles: list[Fraction]) -> list[Fraction]:
+    """Per item j, the largest marginal value v(S + j) - v(S) over j-free
+    sets S, given the single-item values v({j}) in `singles`.
+
+    Additive, unit-demand and budget-additive valuations are submodular, so
+    a marginal is largest at the empty set and is v({j}); no table is built
+    for them.  Any other valuation's marginals are read from its value
+    table, one slice difference per item axis as in submodular_by_marginals,
+    exact on object dtype too.
+    """
+    if isinstance(valuation, (Additive, UnitDemand, BudgetAdditive)):
+        return singles
+    table = value_table(valuation)
+    m = valuation.num_items
+    tensor = table.nums.reshape((2,) * m)
+    # Item j is bit j - 1 of a mask, so axis m - j of the C-order tensor.
+    return [Fraction(int((tensor.take([1], axis=m - j)
+                          - tensor.take([0], axis=m - j)).max()), table.denom)
+            for j in range(1, m + 1)]
+
+
 def minimal_envy_free(instance, bound: Fraction, step: Fraction) -> list[PriceVector]:
     """Domination-minimal envy-free points of the step-lattice in [0, bound]^m.
 
     Minimality is certified relative to the grid only: a returned p is
     envy-free and no other envy-free grid point is componentwise <= p.
     Points are generated one at a time in lexicographic order, so the grid
-    is never held in memory and the result comes out in that order.
+    is never held in memory and the result comes out in that order.  Only
+    the box of levels up to each item's largest marginal value is walked;
+    no minimal point lies outside it.
     """
     bound, step = Fraction(bound), Fraction(step)
     if step <= 0:
@@ -248,10 +273,9 @@ def minimal_envy_free(instance, bound: Fraction, step: Fraction) -> list[PriceVe
         raise ValueError("bound must be nonnegative")
     m = instance.num_items
     _guard_items(m, "grid search")
-    top_value = max(
-        (eval_valuation(v, ItemSet([j]))
-         for v in instance.bidders for j in range(1, m + 1)),
-        default=Fraction(0))
+    singles = [[eval_valuation(v, ItemSet([j])) for j in range(1, m + 1)]
+               for v in instance.bidders]
+    top_value = max(itertools.chain.from_iterable(singles), default=Fraction(0))
     if bound < top_value:
         raise ValueError(
             f"bound {bound} is below the largest single-item value {top_value}; "
@@ -261,6 +285,28 @@ def minimal_envy_free(instance, bound: Fraction, step: Fraction) -> list[PriceVe
         raise GridTooLargeError(
             f"{levels ** m} grid points exceed the safety limit of "
             f"{LIMITS['grid points']}")
+    # The box.  Let g_j be the largest marginal v_i(S + j) - v_i(S) over
+    # bidders i and j-free sets S, at least 0, and L_j the first level at or
+    # above g_j, at most the top level.  Take an envy-free grid point p with
+    # p_j above level L_j; then L_j is below the top level, so p_j > g_j.
+    #   - Item j is in no demand set at p: for a set A holding j,
+    #     u(A - j) = u(A) + p_j - (v(A) - v(A - j)) >= u(A) + p_j - g_j > u(A).
+    #     So every envy-free allocation at p leaves j unsold.
+    #   - Lower p_j to level L_j, giving the grid point p' <= p, p' != p.
+    #     Sets without j keep their utility; a set A holding j has
+    #     u'(A) <= u'(A - j) + g_j - p'_j <= u'(A - j), so the maximum
+    #     utility is still taken on a j-free set and is unchanged.  Every
+    #     demand set at p is one at p', and an allocation that is envy-free
+    #     at p is envy-free at p'.
+    # So p is not minimal: every minimal point lies in the box of levels
+    # [0, L_j].  Every grid point below a box point lies in the box, so a
+    # box point is minimal among box points exactly when it is minimal in
+    # the grid, and the walk below returns what the walk of the whole grid
+    # returns, in the same order.  The refusal above still counts the grid.
+    largest = [Fraction(0)] * m
+    for v, row in zip(instance.bidders, singles):
+        largest = list(map(max, largest, _largest_marginals(v, row)))
+    caps = [min(levels - 1, math.ceil(g / step)) for g in largest]
     num, den = step.numerator, step.denominator
     minimal: list[PriceVector] = []
     # The lattice indices of the minimal points: a point's prices are its
@@ -274,7 +320,7 @@ def minimal_envy_free(instance, bound: Fraction, step: Fraction) -> list[PriceVe
     # it is envy-free, so no price vector is built for it and its
     # envy-freeness is never tested, and the result is the one the unpruned
     # scan gives, in the same order.
-    for point in itertools.product(range(levels), repeat=m):
+    for point in itertools.product(*(range(cap + 1) for cap in caps)):
         if any(all(map(operator.le, corner, point)) for corner in corners):
             continue
         p = PriceVector.from_scaled(tuple(k * num for k in point), den)

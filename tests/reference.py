@@ -279,6 +279,21 @@ def naive_minimal_envy_free(instance, bound, step):
             if not any(q != p and q.dominated_by(p) for q in free)]
 
 
+def naive_grid_caps(instance, bound, step):
+    """Each item's cap level in the grid of step in [0, bound]: the first
+    level at or above its largest marginal v(S + j) - v(S), over every
+    bidder and every j-free set S, clipped to the levels of the grid."""
+    m = instance.num_items
+    top = int(bound / step)
+    caps = []
+    for j in range(1, m + 1):
+        largest = max((eval_valuation(v, bundle.add(j)) - eval_valuation(v, bundle)
+                       for v in instance.bidders for bundle in all_subsets(m)
+                       if j not in bundle), default=Fraction(0))
+        caps.append(min(top, max(0, math.ceil(largest / step))))
+    return caps
+
+
 def canonical_key(bundle):
     """Sort key for the canonical order: cardinality, then the item list."""
     return (len(bundle), bundle.items())

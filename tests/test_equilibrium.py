@@ -493,13 +493,14 @@ class TestMinimalEnvyFree:
         monkeypatch.setattr(PriceVector, "from_scaled", classmethod(spy))
         step, bound = F(1, 2), F(5)
         points = minimal_envy_free(inst, bound, step)
-        lattice = [step * k for k in range(11)]
-        grid = list(itertools.product(lattice, repeat=3))
-        pruned = {t for t in grid
+        caps = reference.naive_grid_caps(inst, bound, step)
+        box = [tuple(step * k for k in point)
+               for point in itertools.product(*(range(c + 1) for c in caps))]
+        pruned = {t for t in box
                   if any(q.prices != t and all(map(operator.le, q.prices, t))
                          for q in points)}
         assert points and pruned
-        assert [p.prices for p in built] == [t for t in grid if t not in pruned]
+        assert [p.prices for p in built] == [t for t in box if t not in pruned]
 
     def test_is_exactly_the_minimum_walrasian_prices(self):
         """Criterion-6-size instances (integer values, step 1): the exact
