@@ -125,6 +125,23 @@ def test_rss_per_pass_needs_a_difference_in_passes():
     assert unknown["mib_per_extra_pass"] is None
 
 
+def test_rss_fit_separates_program_memory_from_records_per_pass():
+    parent = _side_with_passes([40.5, 41.0, 42.0], [10, 12, 16])
+    change = _side_with_passes([41.5, 43.0, 44.5], [20, 30, 40])
+    fit = bench_pairs.rss_by_passes(parent, change)["fit"]
+    assert fit["parent"] == {"intercept_mib": 38.0, "mib_per_pass": 0.25}
+    assert fit["change"] == {"intercept_mib": 38.5, "mib_per_pass": 0.15}
+    assert bench_pairs.rss_fit([7, 8], [40.0, 40.1]) == (39.3, 0.1)
+
+
+def test_rss_fit_needs_two_pass_counts_on_a_side():
+    fit = bench_pairs.rss_by_passes(_side_with_passes([40, 41], [12, 12]),
+                                    _side_with_passes([45, 46], [11, None]))["fit"]
+    assert fit["parent"] == {"intercept_mib": None, "mib_per_pass": None}
+    assert fit["change"] == {"intercept_mib": None, "mib_per_pass": None}
+    assert bench_pairs.rss_fit([9], [40.0]) == (None, None)
+
+
 def _digests(*digests):
     return bench_pairs.summarise_side([_report(100, 40, 10, d) for d in digests],
                                       ["tasks_per_s"])

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from auctionkit import (Additive, Allocation, BudgetAdditive, EMPTY_SET,
                         Explicit, Instance, ItemSet, PriceVector, UnitDemand,
                         Witness, brute_force_demand, dgs_rule,
-                        envy_free_allocation, eval_valuation, gen_unit_demand,
-                        is_price_envy_free, is_walrasian, minimal_envy_free,
+                        envy_free_allocation, eval_valuation, gen_multipeak,
+                        gen_unit_demand, is_price_envy_free, is_walrasian, minimal_envy_free,
                         run_ascending, unit_demand_envy_free, utility)
 from auctionkit import equilibrium
 from auctionkit.auctions import EnvyFreeOutcome
@@ -27,18 +27,6 @@ from conftest import count_price_tables
 import reference
 from reference import (min_walrasian_unit_demand, naive_envy_free,
                        overdemand_margin)
-
-
-def naive_minimal_envy_free(instance, bound, step):
-    """Every grid point checked by the unpruned search, then the
-    domination-minimal ones kept, in lexicographic order."""
-    lattice = [step * k for k in range(int(bound / step) + 1)]
-    grid = [PriceVector(t)
-            for t in itertools.product(lattice, repeat=instance.num_items)]
-    free = [p for p in grid if naive_envy_free(instance, p)]
-    minimal = [p for p in free
-               if not any(q != p and q.dominated_by(p) for q in free)]
-    return sorted(minimal, key=lambda p: p.prices)
 
 
 def _random_explicit(rng, m, top):
@@ -98,6 +86,73 @@ def _unit_or_explicit_grid(draw):
                for v in bidders for j in range(1, m + 1)), default=F(0))
     return Instance(m, tuple(bidders)), top + draw(
         st.sampled_from((F(0), F(1, 3), F(1))))
+
+
+@st.composite
+def _complementary_grid(draw):
+    """One to three explicit bidders on two or three items with values in
+    halves, and a step and a bound at or above the largest single-item
+    value.  The first bidder values items 1 and 2 together above the sum of
+    their single values, so item 2's largest marginal exceeds its single
+    value; the excess is drawn from (bound + 1) / 2 up to 2 (bound + 1),
+    so that marginal often exceeds the bound too."""
+    m = draw(st.integers(2, 3))
+    tables = [[F(0)] + draw(st.lists(HALVES, min_size=2 ** m - 1,
+                                     max_size=2 ** m - 1))
+              for _ in range(draw(st.integers(1, 3)))]
+    top = max(table[1 << j] for table in tables for j in range(m))
+    bound = top + draw(st.sampled_from((F(0), F(1, 2), F(1))))
+    first = tables[0]
+    first[0b11] = first[0b01] + first[0b10] + \
+        draw(st.integers(1, 4)) * (bound + 1) / 2
+    step = draw(st.sampled_from((F(1), F(3, 2))))
+    return Instance(m, tuple(Explicit(m, t) for t in tables)), bound, step
+
+
+@st.composite
+def _unwanted_item_grid(draw):
+    """One to three explicit bidders on one to three items, values in halves,
+    none of them monotone in item j: adding j to a set lowers its value by
+    a drawn amount, down to 0, so j's largest marginal is at most 0."""
+    m = draw(st.integers(1, 3))
+    j = draw(st.integers(1, m))
+    bit = 1 << (j - 1)
+    bidders = []
+    for _ in range(draw(st.integers(1, 3))):
+        table = [F(0)] + draw(st.lists(HALVES, min_size=2 ** m - 1,
+                                       max_size=2 ** m - 1))
+        loss = draw(HALVES)
+        for mask in range(1 << m):
+            if mask & bit:
+                table[mask] = max(F(0), table[mask ^ bit] - loss)
+        bidders.append(Explicit(m, table))
+    top = max(eval_valuation(v, ItemSet([i]))
+              for v in bidders for i in range(1, m + 1))
+    bound = top + draw(st.sampled_from((F(0), F(1, 2), F(1))))
+    step = draw(st.sampled_from((F(1), F(1, 2))))
+    return Instance(m, tuple(bidders)), j, bound, step
+
+
+def _scan(inst, bound, step):
+    """minimal_envy_free's points as Fraction tuples, and the prices of
+    every point whose envy-freeness it tested."""
+    tested = []
+    check = equilibrium.is_price_envy_free
+
+    def spy(instance, prices):
+        tested.append(prices.prices)
+        return check(instance, prices)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(equilibrium, "is_price_envy_free", spy)
+        points = minimal_envy_free(inst, bound, step)
+    return [p.prices for p in points], tested
+
+
+def _assert_inside_caps(tested, caps, step):
+    """No tested price lies above its item's cap level."""
+    for prices in tested:
+        assert all(price <= cap * step for price, cap in zip(prices, caps))
 
 
 # Halves and thirds share 0, 1, 2 and 3, so values and prices often tie.
@@ -384,8 +439,9 @@ class TestMinimalEnvyFree:
             n, m = rng.randint(1, 3), rng.randint(1, 3)
             inst = gen_unit_demand(n, m, (0, 3), seed=rng.randint(0, 999))
             step = rng.choice((F(1), F(3, 2)))
-            assert minimal_envy_free(inst, F(3), step) == \
-                naive_minimal_envy_free(inst, F(3), step)
+            points = minimal_envy_free(inst, F(3), step)
+            assert [p.prices for p in points] == \
+                reference.naive_minimal_envy_free(inst, F(3), step)
 
     def test_matches_naive_reference_additive_explicit_mix(self):
         """Mixed bidders take the demand-set search route, not the matching."""
@@ -398,8 +454,9 @@ class TestMinimalEnvyFree:
                 for _ in range(rng.randint(1, 3)))
             inst = Instance(m, bidders)
             step = rng.choice((F(1), F(1, 2)))
-            assert minimal_envy_free(inst, F(3), step) == \
-                naive_minimal_envy_free(inst, F(3), step)
+            points = minimal_envy_free(inst, F(3), step)
+            assert [p.prices for p in points] == \
+                reference.naive_minimal_envy_free(inst, F(3), step)
 
     def test_grid_is_not_materialised(self, monkeypatch):
         """By the first check, the scan has allocated next to nothing: the
@@ -444,8 +501,9 @@ class TestMinimalEnvyFree:
     @settings(max_examples=60, deadline=None)
     def test_matches_naive_reference_all_classes(self, case):
         inst, bound, step = case
-        assert minimal_envy_free(inst, bound, step) == \
-            naive_minimal_envy_free(inst, bound, step)
+        points = minimal_envy_free(inst, bound, step)
+        assert [p.prices for p in points] == \
+            reference.naive_minimal_envy_free(inst, bound, step)
 
     def test_points_above_a_found_minimal_point_are_not_tested(
             self, monkeypatch):
@@ -517,6 +575,104 @@ class TestMinimalEnvyFree:
             assert exact in points
             assert outcome.prices in points
             assert points == [exact]
+
+
+class TestGridBox:
+    """The scan walks only the box of levels up to each item's largest
+    marginal value.  tests/reference.py gives both second routes: the
+    unpruned, uncapped Fraction scan for the points, and every marginal
+    over every set for the caps."""
+
+    @given(_complementary_grid())
+    @settings(max_examples=40, deadline=None)
+    def test_marginals_above_the_single_values(self, case):
+        inst, bound, step = case
+        caps = reference.naive_grid_caps(inst, bound, step)
+        points, tested = _scan(inst, bound, step)
+        assert points == reference.naive_minimal_envy_free(inst, bound, step)
+        _assert_inside_caps(tested, caps, step)
+        first = inst.bidders[0]
+        singles = [eval_valuation(first, ItemSet([j]))
+                   for j in range(1, inst.num_items + 1)]
+        assert equilibrium._largest_marginals(first, singles)[1] > singles[1]
+
+    @pytest.mark.parametrize("bound, step, caps", [
+        (F(2), F(1), [2, 2]),
+        (F(5, 2), F(1, 2), [5, 5]),
+        (F(10), F(1), [9, 9]),
+    ])
+    def test_caps_clip_at_the_top_level(self, bound, step, caps):
+        """Two bidders value the two items together at 10 and each alone
+        at 1, so each item's largest marginal is 9; below a bound of 9 its
+        cap is the top level.  Below a total price of 10 both demand only
+        the pair, so the scan tests points up to the cap."""
+        bidder = Explicit(2, (F(0), F(1), F(1), F(10)))
+        inst = Instance(2, (bidder, bidder))
+        assert reference.naive_grid_caps(inst, bound, step) == caps
+        points, tested = _scan(inst, bound, step)
+        assert points == reference.naive_minimal_envy_free(inst, bound, step)
+        _assert_inside_caps(tested, caps, step)
+        assert max(max(prices) for prices in tested) == min(bound, F(9))
+
+    @given(_unwanted_item_grid())
+    @settings(max_examples=40, deadline=None)
+    def test_an_item_no_bidder_gains_from_has_cap_zero(self, case):
+        inst, j, bound, step = case
+        caps = reference.naive_grid_caps(inst, bound, step)
+        assert caps[j - 1] == 0
+        points, tested = _scan(inst, bound, step)
+        assert points == reference.naive_minimal_envy_free(inst, bound, step)
+        _assert_inside_caps(tested, caps, step)
+        assert all(prices[j - 1] == 0 for prices in tested)
+
+    @pytest.mark.parametrize("inst, bound", [
+        (gen_unit_demand(3, 4, (0, 5), seed=8), F(5)),
+        (gen_multipeak(4, 2, 2, F(1, 2), 2, seed=1), F(2)),
+        (Instance(3, _item_seekers()), F(4)),
+        (Instance(2, (UnitDemand((F(3), F(1))),
+                      BudgetAdditive((F(2), F(2)), F(3)),
+                      Additive((F(1), F(0))))), F(3)),
+    ], ids=["unit-demand", "multi-peak", "explicit", "item-values"])
+    def test_no_tested_price_above_its_cap(self, inst, bound):
+        for step in (F(1), F(1, 2)):
+            caps = reference.naive_grid_caps(inst, bound, step)
+            points, tested = _scan(inst, bound, step)
+            assert points and tested
+            _assert_inside_caps(tested, caps, step)
+
+    def test_largest_marginals_match_every_set(self):
+        """The closed form for the item-value classes and the table route
+        for the rest, against every marginal; a table too large for int64
+        is read as exact Python integers."""
+        huge = F(1 << 62)
+        bidders = [
+            UnitDemand((F(3), F(1, 2), F(2))),
+            Additive((F(1), F(0), F(5, 3))),
+            BudgetAdditive((F(2), F(2), F(1)), F(3)),
+            Explicit(3, (F(0), F(1), F(2), F(7), F(0), F(4), F(1), F(3))),
+            Explicit(3, (F(0), huge, F(1), huge + 3, F(0), F(1), huge, huge * 2)),
+            gen_multipeak(3, 1, 2, F(1, 2), 1, seed=2).bidders[0],
+        ]
+        for v in bidders:
+            singles = [eval_valuation(v, ItemSet([j])) for j in (1, 2, 3)]
+            expected = [max(eval_valuation(v, bundle.add(j)) - eval_valuation(v, bundle)
+                            for bundle in reference.all_subsets(3)
+                            if j not in bundle)
+                        for j in (1, 2, 3)]
+            assert equilibrium._largest_marginals(v, singles) == expected
+
+    def test_no_value_table_for_unit_demand_bidders(self):
+        inst = gen_unit_demand(3, 4, (0, 5), seed=8)
+        assert minimal_envy_free(inst, F(5), F(1))
+        assert not any(hasattr(v, "_value_table") for v in inst.bidders)
+
+    def test_multipeak_m6_tests_at_most_64_points(self):
+        """The two-bidder m=6 multi-peak grid at bound 6: the full grid
+        holds 7**6 points and the box far fewer."""
+        inst = gen_multipeak(6, 3, 2, F(1, 2), 2, seed=0)
+        points, tested = _scan(inst, F(6), F(1))
+        assert points
+        assert len(tested) <= 64
 
 
 class TestIsPriceEnvyFree:

@@ -18,8 +18,9 @@ The output holds, per cell and side, every run's end-to-end metrics,
 passes and digest, their medians and quartiles (inclusive method), the
 pairs the change won, and per metric whether a claimed gain would hold.
 Beside them, each side's median pass count and median peak_rss_mib, with
-the RSS difference per extra pass, since the harness's own records grow
-with the pass count, and `outputs_equal`: whether every run of both sides
+the RSS difference per extra pass and each side's least-squares line of
+peak_rss_mib against passes, since the harness's own records grow with
+the pass count, and `outputs_equal`: whether every run of both sides
 reported one and the same results digest.  Each side's `src_lines`, the
 newline count of its `src/**/*.py` as `wc -l` gives it, records the size of
 the code measured.  Standard library only.
@@ -164,22 +165,38 @@ def compare(parent: dict, change: dict, contract: list[dict]) -> dict:
             "claim_rule_met": claim}
 
 
+def rss_fit(passes: list, rss: list[float]) -> tuple:
+    """(intercept, slope) of peak_rss_mib = intercept + slope * passes, by
+    least squares over one side's runs; (None, None) when a run has no pass
+    count or every run made the same number of passes."""
+    if None in passes or len(set(passes)) < 2:
+        return None, None
+    slope, intercept = statistics.linear_regression(passes, rss)
+    return round(intercept, 4), round(slope, 4)
+
+
 def rss_by_passes(parent: dict, change: dict) -> dict:
-    """Each side's median pass count beside its median peak_rss_mib, and
-    the RSS difference per extra pass of the change.
+    """Each side's median pass count beside its median peak_rss_mib, the
+    RSS difference per extra pass of the change, and each side's
+    least-squares line of peak_rss_mib against passes.
 
     The harness keeps records for every pass, so a side that runs more
     passes reads a higher RSS for that alone; this tells that growth from
-    the program's own.  The per-pass figure is None when the medians run
-    equally many passes or a report has no pass count.
+    the program's own.  The fit's intercept is the memory a side would read
+    at no passes, the program's, and its slope the records one pass adds.
+    The per-pass figure is None when the medians run equally many passes or
+    a report has no pass count.
     """
-    out = {}
+    out = {"fit": {}}
     for side, summary in (("parent", parent), ("change", change)):
         passes = summary["passes"]
+        rss = summary["metrics"]["peak_rss_mib"]
         out[side] = {
             "median_passes": (statistics.median(passes)
                               if None not in passes else None),
-            "peak_rss_mib": summary["metrics"]["peak_rss_mib"]["median"]}
+            "peak_rss_mib": rss["median"]}
+        intercept, slope = rss_fit(passes, rss["runs"])
+        out["fit"][side] = {"intercept_mib": intercept, "mib_per_pass": slope}
     before, after = out["parent"], out["change"]
     extra = (None if None in (before["median_passes"], after["median_passes"])
              else after["median_passes"] - before["median_passes"])
