@@ -43,9 +43,14 @@ LIMITS = {
 _INT64_GUARD = 1 << 60
 
 # The most subset pairs submodular_by_definition compares in one numpy
-# call: a full row of pairs at m=14.  Set from per-call timings of
-# 2**12 to 2**16 (ROADMAP item 3).
-_SCAN_ELEMENTS = 1 << 14
+# call: a full row of pairs at m=15.  Set from per-call timings of the scan
+# on int32 tables, the 19 submodular corpus bidders at m=12..14, best of 5
+# interleaved calls each: 2**15 and 2**16 took 3.2 s in all, 2**14 3.6 s and
+# 2**17 6.0 s (int64 at 2**14 took 4.2 s).  Of the two fast caps, the
+# smaller keeps further from the slow blocks of 2**17.
+_SCAN_ELEMENTS = 1 << 15
+
+_INT32_MAX = np.iinfo(np.int32).max
 
 
 def _fractions(values) -> tuple[Fraction, ...]:
@@ -518,10 +523,18 @@ def submodular_by_definition(valuation: Valuation) -> SubmodularReport:
     start <= T < S.  Then row T, which is in the block and comes before S,
     would violate at S.  So S's first violation is at some T >= S, and
     the rows before the block have none at any T.
+
+    Every number the scan compares is a sum of two table entries, at most
+    2 * max_abs in magnitude.  When that fits int32, the scan runs on an
+    int32 copy of the table, which is exact and moves half the bytes;
+    otherwise on the table itself.
     """
     m = valuation.num_items
     _guard_items(m, "check_submodular")
-    vals = value_table(valuation).nums
+    table = value_table(valuation)
+    vals = table.nums
+    if 2 * table.max_abs <= _INT32_MAX:
+        vals = vals.astype(np.int32)
     masks = all_masks(m)
     start, rows = 0, 1
     while start < len(masks):

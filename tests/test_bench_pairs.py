@@ -173,3 +173,52 @@ def test_src_lines_counts_python_files_under_src(tmp_path):
         (tree / "tests" / "test_core.py").write_text("assert True\n")
     assert bench_pairs.src_lines(parent) == 5
     assert bench_pairs.src_lines(change) == 3
+
+
+def test_rss_fit_stderr_of_a_known_line_with_residuals():
+    # 38 MiB + 0.15 MiB per pass, plus residuals orthogonal to the line, so
+    # the fit recovers it exactly; s^2 = 0.04 / 2 and Sxx = 500 about 25.
+    passes = [10, 20, 30, 40]
+    rss = [38 + 0.15 * k + r for k, r in zip(passes, [0.1, -0.1, -0.1, 0.1])]
+    assert bench_pairs.rss_fit(passes, rss) == (38.0, 0.15)
+    assert bench_pairs.rss_fit_stderr(passes, rss) == \
+        (round(0.03 ** 0.5, 4), round(4e-5 ** 0.5, 4))
+    exact = [38 + 0.15 * k for k in passes]
+    assert bench_pairs.rss_fit_stderr(passes, exact) == (0.0, 0.0)
+
+
+def test_rss_fit_stderr_needs_three_runs_and_two_pass_counts():
+    assert bench_pairs.rss_fit_stderr([7, 8], [40.0, 40.1]) == (None, None)
+    assert bench_pairs.rss_fit_stderr([9, 9, 9], [40.0, 40.1, 40.2]) == (None, None)
+    assert bench_pairs.rss_fit_stderr([7, 8, None], [40.0, 40.1, 40.2]) == \
+        (None, None)
+    result = bench_pairs.rss_by_passes(
+        _side_with_passes([40.5, 41.0, 42.0], [10, 12, 16]),
+        _side_with_passes([41.5, 43.0], [20, 30]))
+    assert result["fit_stderr"]["parent"] == {"intercept_mib": 0.0,
+                                              "mib_per_pass": 0.0}
+    assert result["fit_stderr"]["change"] == {"intercept_mib": None,
+                                              "mib_per_pass": None}
+
+
+def test_lay_harness_replaces_the_checkouts_own_harness(tmp_path):
+    harness = tmp_path / "harness"
+    (harness / "perfbench" / "tests").mkdir(parents=True)
+    (harness / "perfbench" / "run.py").write_text("harness run\n")
+    (harness / "perfbench" / "tests" / "test_run.py").write_text("harness test\n")
+    (harness / "BENCHMARK.json").write_text('{"run_seconds": 40}\n')
+    for side, own in (("parent", "old run\n"), ("change", "new run\n")):
+        checkout = tmp_path / side
+        (checkout / "perfbench").mkdir(parents=True)
+        (checkout / "perfbench" / "run.py").write_text(own)
+        (checkout / "perfbench" / "gone.py").write_text("only in the checkout\n")
+        (checkout / "BENCHMARK.json").write_text('{"run_seconds": 5}\n')
+        (checkout / "src").mkdir()
+        (checkout / "src" / "code.py").write_text(own)
+        bench_pairs.lay_harness(harness, checkout)
+        assert (checkout / "perfbench" / "run.py").read_text() == "harness run\n"
+        assert (checkout / "perfbench" / "tests" / "test_run.py").exists()
+        assert not (checkout / "perfbench" / "gone.py").exists()
+        assert (checkout / "BENCHMARK.json").read_text() == '{"run_seconds": 40}\n'
+        assert (checkout / "src" / "code.py").read_text() == own
+    assert (harness / "perfbench" / "run.py").read_text() == "harness run\n"

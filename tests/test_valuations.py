@@ -296,6 +296,48 @@ class TestScanBlocks:
         assert {(False, True), (True, False)} <= verdicts
 
 
+class TestScanDtypeBoundary:
+    """Tables whose largest entry sits at the edge of each scan dtype: twice
+    it 2**31 - 2 (int32 holds every sum), 2**31 (int32 would wrap) and past
+    2**64 (object dtype).  Each top gets a submodular table, one with an
+    early violation and one with a violation planted in the top row."""
+
+    TOPS = [(1 << 30) - 1, 1 << 30, (1 << 64) + 3]
+
+    @staticmethod
+    def _table(m, top, plant):
+        """top on every nonempty set without item m, top - 2 on those with
+        it: the nonempty indicator plus a modular term, so submodular.
+        Two disjoint sets without item m then sum to 2 * top."""
+        table = [0] + [top - 2 * (mask >> (m - 1)) for mask in range(1, 1 << m)]
+        if plant == "early":
+            # ({1, 2}, {1, 3}) compares 2 * top with 2 * top - 1.
+            table[0b11] -= 1
+        elif plant == "late":
+            # v({m}) back to top breaks only pairs that both hold item m.
+            table[1 << (m - 1)] += 2
+        return Explicit.from_scaled(m, table, 1)
+
+    @pytest.mark.parametrize("cap", [64, valuations._SCAN_ELEMENTS])
+    @pytest.mark.parametrize("top", TOPS)
+    @pytest.mark.parametrize("plant", ["none", "early", "late"])
+    def test_scan_matches_the_row_scan(self, monkeypatch, cap, top, plant):
+        monkeypatch.setattr(valuations, "_SCAN_ELEMENTS", cap)
+        m = 9
+        v = self._table(m, top, plant)
+        assert value_table(v).max_abs == top
+        assert (value_table(v).nums.dtype == object) == (top > 1 << 63)
+        expected = row_scan_submodular(v)
+        assert submodular_by_definition(v) == expected
+        assert check_submodular(v) == expected
+        if plant == "none":
+            assert expected.holds
+        elif plant == "early":
+            assert expected.counterexample == (ItemSet([1, 2]), ItemSet([1, 3]))
+        else:
+            assert expected.counterexample[0].mask > 1 << (m - 1)
+
+
 class TestStandardClassesStructural:
     """Additive / unit-demand / budget-additive are monotone submodular."""
 

@@ -1,7 +1,7 @@
 """Run the benchmark on two commits in alternating pairs and summarise them.
 
     python3 tools/bench_pairs.py PARENT CHANGE --out BENCH_<n>.json \\
-        [--plan WORKLOAD:SEED:PAIRS ...] [--scratch DIR]
+        [--plan WORKLOAD:SEED:PAIRS ...] [--scratch DIR] [--harness COMMIT]
 
 Each commit is checked out from local git history (`git archive`, so only
 committed files) into its own directory under the scratch directory, and
@@ -11,6 +11,10 @@ first in even pairs and the change first in odd ones, and pair k
 of every cell runs before pair k+1 of any.  Each run's report file is copied
 as soon as the run ends, before the next run of the same workload and seed
 replaces it, so the pass count and results digest of every run are kept.
+With --harness COMMIT, that commit's `perfbench/` and `BENCHMARK.json`
+replace both checkouts' own before any run, so both sides run one harness
+and only the code it measures differs; the output records the commit as
+`harness`.
 Each cell's workload and seed then gets one traced run per side, and the
 count metrics of both sides are recorded side by side.
 
@@ -19,8 +23,8 @@ passes and digest, their medians and quartiles (inclusive method), the
 pairs the change won, and per metric whether a claimed gain would hold.
 Beside them, each side's median pass count and median peak_rss_mib, with
 the RSS difference per extra pass and each side's least-squares line of
-peak_rss_mib against passes, since the harness's own records grow with
-the pass count, and `outputs_equal`: whether every run of both sides
+peak_rss_mib against passes, with the standard errors of its intercept
+and slope, since the harness's own records grow with the pass count, and `outputs_equal`: whether every run of both sides
 reported one and the same results digest.  Each side's `src_lines`, the
 newline count of its `src/**/*.py` as `wc -l` gives it, records the size of
 the code measured.  Standard library only.
@@ -43,6 +47,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 DEFAULT_PAIRS = 10
 RUN_TIMEOUT_S = 900
+# What --harness lays over both checkouts: the benchmark's code and contract.
+HARNESS = ("perfbench", "BENCHMARK.json")
 
 
 def rev_parse(commit: str) -> str:
@@ -51,12 +57,21 @@ def rev_parse(commit: str) -> str:
                           text=True).stdout.strip()
 
 
-def check_out(commit: str, directory: Path) -> None:
-    """The committed files of `commit`, extracted into `directory`."""
-    archive = subprocess.run(["git", "archive", "--format=tar", commit], cwd=ROOT,
-                             check=True, capture_output=True).stdout
+def check_out(commit: str, directory: Path, paths=()) -> None:
+    """The committed files of `commit`, or only those under `paths`,
+    extracted into `directory`."""
+    archive = subprocess.run(["git", "archive", "--format=tar", commit, *paths],
+                             cwd=ROOT, check=True, capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(directory, filter="data")
+
+
+def lay_harness(harness: Path, checkout: Path) -> None:
+    """Replace `checkout`'s perfbench/ and BENCHMARK.json by `harness`'s, so
+    no file of the checkout's own harness is left behind."""
+    shutil.rmtree(checkout / "perfbench", ignore_errors=True)
+    shutil.copytree(harness / "perfbench", checkout / "perfbench")
+    shutil.copyfile(harness / "BENCHMARK.json", checkout / "BENCHMARK.json")
 
 
 def src_lines(checkout: Path) -> int:
@@ -175,6 +190,23 @@ def rss_fit(passes: list, rss: list[float]) -> tuple:
     return round(intercept, 4), round(slope, 4)
 
 
+def rss_fit_stderr(passes: list, rss: list[float]) -> tuple:
+    """(standard error of the intercept, of the slope) of rss_fit's line,
+    from its residuals over n - 2 degrees of freedom; (None, None) when the
+    side has fewer than three runs, a run has no pass count, or every run
+    made the same number of passes."""
+    if len(passes) < 3 or None in passes or len(set(passes)) < 2:
+        return None, None
+    n = len(passes)
+    slope, intercept = statistics.linear_regression(passes, rss)
+    residual = sum((y - intercept - slope * x) ** 2
+                   for x, y in zip(passes, rss)) / (n - 2)
+    mean = statistics.fmean(passes)
+    sxx = sum((x - mean) ** 2 for x in passes)
+    return (round((residual * (1 / n + mean * mean / sxx)) ** 0.5, 4),
+            round((residual / sxx) ** 0.5, 4))
+
+
 def rss_by_passes(parent: dict, change: dict) -> dict:
     """Each side's median pass count beside its median peak_rss_mib, the
     RSS difference per extra pass of the change, and each side's
@@ -187,7 +219,7 @@ def rss_by_passes(parent: dict, change: dict) -> dict:
     The per-pass figure is None when the medians run equally many passes or
     a report has no pass count.
     """
-    out = {"fit": {}}
+    out = {"fit": {}, "fit_stderr": {}}
     for side, summary in (("parent", parent), ("change", change)):
         passes = summary["passes"]
         rss = summary["metrics"]["peak_rss_mib"]
@@ -197,6 +229,9 @@ def rss_by_passes(parent: dict, change: dict) -> dict:
             "peak_rss_mib": rss["median"]}
         intercept, slope = rss_fit(passes, rss["runs"])
         out["fit"][side] = {"intercept_mib": intercept, "mib_per_pass": slope}
+        intercept_se, slope_se = rss_fit_stderr(passes, rss["runs"])
+        out["fit_stderr"][side] = {"intercept_mib": intercept_se,
+                                   "mib_per_pass": slope_se}
     before, after = out["parent"], out["change"]
     extra = (None if None in (before["median_passes"], after["median_passes"])
              else after["median_passes"] - before["median_passes"])
@@ -220,6 +255,9 @@ def main(argv=None) -> int:
                         help="WORKLOAD:SEED:PAIRS (repeatable; default every "
                              f"workload at seed 0, {DEFAULT_PAIRS} pairs)")
     parser.add_argument("--scratch", type=Path)
+    parser.add_argument("--harness", metavar="COMMIT",
+                        help="run both sides with this commit's perfbench/ "
+                             "and BENCHMARK.json")
     args = parser.parse_args(argv)
 
     commits = {"parent": rev_parse(args.parent), "change": rev_parse(args.change)}
@@ -227,6 +265,11 @@ def main(argv=None) -> int:
     checkouts = {side: scratch / side for side in SIDES}
     for side in SIDES:
         check_out(commits[side], checkouts[side])
+    harness = rev_parse(args.harness) if args.harness else None
+    if harness:
+        check_out(harness, scratch / "harness", HARNESS)
+        for side in SIDES:
+            lay_harness(scratch / "harness", checkouts[side])
     contract = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     plan = args.plan or [(entry["name"], 0, DEFAULT_PAIRS)
                          for entry in contract["workloads"]]
@@ -262,6 +305,7 @@ def main(argv=None) -> int:
         "command": f"python3 perfbench/run.py --workload <w> --seed <s> "
                    f"--seconds {seconds:g} --trace 0",
         "commits": commits,
+        **({"harness": harness} if harness else {}),
         "plan": [{"workload": w, "seed": s, "pairs": p} for w, s, p in plan],
         "order": "alternating pairs; even pairs run the parent first, odd pairs "
                  "the change first; pair k of every cell ran before pair k+1 of any",
@@ -285,6 +329,7 @@ def main(argv=None) -> int:
     print(f"wrote {args.out}; reports kept in {scratch / 'reports'}")
     shutil.rmtree(checkouts["parent"], ignore_errors=True)
     shutil.rmtree(checkouts["change"], ignore_errors=True)
+    shutil.rmtree(scratch / "harness", ignore_errors=True)
     return 0
 
 
