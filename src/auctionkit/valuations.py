@@ -44,10 +44,10 @@ _INT64_GUARD = 1 << 60
 
 # The most subset pairs submodular_by_definition compares in one numpy
 # call: a full row of pairs at m=15.  Set from per-call timings of the scan
-# on int32 tables, the 19 submodular corpus bidders at m=12..14, best of 5
-# interleaved calls each: 2**15 and 2**16 took 3.2 s in all, 2**14 3.6 s and
-# 2**17 6.0 s (int64 at 2**14 took 4.2 s).  Of the two fast caps, the
-# smaller keeps further from the slow blocks of 2**17.
+# on int32 tables (2-CPU Xeon, numpy 2.4), the 19 submodular corpus bidders
+# at m=12..14, best of 5 interleaved calls each: 2**15 and 2**16 took 3.2 s
+# in all, 2**14 3.6 s and 2**17 6.0 s (int64 at 2**14 took 4.2 s).  Of the
+# two fast caps, the smaller keeps further from the slow blocks of 2**17.
 _SCAN_ELEMENTS = 1 << 15
 
 _INT32_MAX = np.iinfo(np.int32).max

@@ -24,10 +24,11 @@ pairs the change won, and per metric whether a claimed gain would hold.
 Beside them, each side's median pass count and median peak_rss_mib, with
 the RSS difference per extra pass and each side's least-squares line of
 peak_rss_mib against passes, with the standard errors of its intercept
-and slope, since the harness's own records grow with the pass count, and `outputs_equal`: whether every run of both sides
-reported one and the same results digest.  Each side's `src_lines`, the
-newline count of its `src/**/*.py` as `wc -l` gives it, records the size of
-the code measured.  Standard library only.
+and slope, since the harness's own records grow with the pass count, and
+`outputs_equal`: whether every run of both sides reported one and the same
+results digest.  Each side's `src_lines`, the newline count of its
+`src/**/*.py` as `wc -l` gives it, records the size of the code measured.
+Standard library only.
 """
 
 from __future__ import annotations
