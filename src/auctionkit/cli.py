@@ -1,5 +1,5 @@
 """Command-line surface: gen, validate, demand, envyfree, minimal-ef,
-auction, bench.
+auction.
 
 Every command prints a run report whose payload is deterministic for
 deterministic inputs; wall-clock timing lives in a separate key so reports
@@ -14,7 +14,6 @@ never a property of the input.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import sys
@@ -25,7 +24,7 @@ from fractions import Fraction
 from . import __version__
 from .auctions import (dgs_rule, english_additive_rule, greedy_submodular_rule,
                        run_ascending)
-from .demand import PriceVector, brute_force_demand, fast_oracle
+from .demand import brute_force_demand, fast_oracle
 from .equilibrium import envy_free_allocation, minimal_envy_free
 from .errors import AuctionkitError, RuleViolationError, SchemaError
 from .instances import (allocation_payload, decode_instance, demand_payload,
@@ -174,42 +173,6 @@ def _cmd_auction(args) -> tuple[dict, int, None]:
     return payload, 0, None
 
 
-def _cmd_bench(args) -> tuple[dict, int, None]:
-    if args.count < 1:
-        raise ValueError(f"--count must be positive, got {args.count}")
-    rows = []
-    rng_prices = [Fraction(0), Fraction(1, 8), Fraction(1, 2), Fraction(1)]
-    for idx in range(args.count):
-        seed = args.seed + idx
-        if args.family == "multipeak":
-            instance = gen_multipeak(args.m, args.s, args.k, args.eps, 1, seed)
-        elif args.family == "additive":
-            instance = gen_additive(1, args.m, (0, 8), seed)
-        else:
-            instance = gen_unit_demand(1, args.m, (0, 8), seed)
-        valuation = instance.bidders[0]
-        fast = fast_oracle(valuation)
-        for level in rng_prices:
-            prices = PriceVector((level,) * instance.num_items)
-            tick = time.perf_counter()
-            fast_result = fast(valuation, prices)
-            fast_us = (time.perf_counter() - tick) * 1e6
-            tick = time.perf_counter()
-            brute_result = brute_force_demand(valuation, prices)
-            brute_us = (time.perf_counter() - tick) * 1e6
-            rows.append({
-                "seed": seed,
-                "m": instance.num_items,
-                "price_level": str(format_rational(level)),
-                "fast_us": round(fast_us, 1),
-                "brute_us": round(brute_us, 1),
-                "match": fast_result.max_utility == brute_result.max_utility,
-            })
-    payload = {"family": args.family, "count": args.count, "rows": rows}
-    code = 0 if all(r["match"] for r in rows) else 1
-    return payload, code, None
-
-
 def _render_text(report: dict, out) -> None:
     def walk(value, indent=0):
         pad = "  " * indent
@@ -233,20 +196,11 @@ def _render_text(report: dict, out) -> None:
     walk(report)
 
 
-def _render_csv(report: dict, out) -> None:
-    rows = report["result"].get("rows", [])
-    writer = csv.writer(out)
-    writer.writerow(["seed", "m", "price_level", "fast_us", "brute_us", "match"])
-    for row in rows:
-        writer.writerow([row["seed"], row["m"], row["price_level"],
-                         row["fast_us"], row["brute_us"], row["match"]])
-
-
 def _render(report: dict, fmt: str) -> str:
     if fmt == "json":
         return dumps(report)
     buffer = io.StringIO()
-    (_render_csv if fmt == "csv" else _render_text)(report, buffer)
+    _render_text(report, buffer)
     return buffer.getvalue()
 
 
@@ -261,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--format", choices=["json", "text", "csv"],
+        p.add_argument("--format", choices=["json", "text"],
                        default="json")
         p.add_argument("--out", help="write the report (or document) here")
 
@@ -318,17 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-steps", type=int, default=200)
     common(p)
 
-    p = sub.add_parser("bench", help="time fast vs brute oracles on a family")
-    p.add_argument("--family", choices=["multipeak", "additive", "unit-demand"],
-                   default="multipeak")
-    p.add_argument("--count", type=int, default=5)
-    p.add_argument("--m", type=int, default=8)
-    p.add_argument("--s", type=int, default=4)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--eps", type=_parse_fraction_arg, default=Fraction(1, 2))
-    p.add_argument("--seed", type=int, default=0)
-    common(p)
-
     return parser
 
 
@@ -339,7 +282,6 @@ _HANDLERS = {
     "envyfree": _cmd_envyfree,
     "minimal-ef": _cmd_minimal_ef,
     "auction": _cmd_auction,
-    "bench": _cmd_bench,
 }
 
 
@@ -347,9 +289,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     invocation = list(argv) if argv is not None else sys.argv[1:]
     args = parser.parse_args(argv)
-    if args.format == "csv" and args.command != "bench":
-        print("error: --format csv is only available for bench", file=sys.stderr)
-        return 2
     started = time.perf_counter()
     try:
         payload, code, document = _HANDLERS[args.command](args)

@@ -220,7 +220,9 @@ def brute_force_demand(valuation: Valuation, prices: PriceVector) -> DemandResul
 def _demand_masks(valuation: Valuation, prices: PriceVector,
                   cap: int) -> list[int]:
     """The masks of all utility maximizers in canonical order, as ints;
-    errors if more than cap."""
+    errors if more than cap, and refuses a cap below 1."""
+    if cap < 1:
+        raise ValueError(f"cap must be at least 1, got {cap}")
     _guard_items(valuation.num_items, "demand-set enumeration")
     _, masks = _maximizers(valuation, prices)
     if len(masks) > cap:

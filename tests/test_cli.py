@@ -260,6 +260,14 @@ class TestEnvyFree:
                            "--expect", "not-ef")
         assert code == 0
 
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_cap_below_one_is_refused(self, capsys, mp1_file, zero_prices_file,
+                                      cap):
+        code = main(["envyfree", mp1_file, zero_prices_file, "--cap", cap])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: cap must be at least 1, got {cap}\n"
+
 
 class TestMinimalEf:
     def test_single_item(self, capsys, tmp_path):
@@ -317,27 +325,12 @@ class TestAuction:
         assert code == 2
 
 
-class TestBench:
-    def test_json_and_csv(self, capsys):
-        code, report = run_json(capsys, "bench", "--family", "multipeak",
-                                "--count", "1", "--m", "6", "--s", "3",
-                                "--k", "2", "--eps", "2/3")
-        assert code == 0
-        assert all(row["match"] for row in report["result"]["rows"])
-        code, out = run_cli(capsys, "bench", "--family", "additive",
-                            "--count", "1", "--m", "5", "--format", "csv")
-        assert code == 0
-        assert out.splitlines()[0] == "seed,m,price_level,fast_us,brute_us,match"
-
-    @pytest.mark.parametrize("count", ["0", "-1"])
-    def test_count_below_one_is_refused(self, capsys, count):
-        code = main(["bench", "--family", "additive", "--count", count])
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert f"--count must be positive, got {count}" in captured.err
-
-    def test_csv_rejected_elsewhere(self, capsys, mp1_file):
-        assert main(["validate", mp1_file, "--format", "csv"]) == 2
+class TestFormat:
+    def test_csv_is_refused(self, capsys, mp1_file):
+        with pytest.raises(SystemExit) as info:
+            main(["validate", mp1_file, "--format", "csv"])
+        assert info.value.code == 2
+        assert "invalid choice: 'csv'" in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -2,8 +2,8 @@
 
 Each case runs `auctionkit.cli.main` in a scratch working directory on input
 files with relative names, so the report's `command` entry is stable.  The
-wall-clock `timing_ms` value is replaced by `<elapsed>` before comparing, and
-`bench` rows keep only their non-timing columns.  The expected outputs live
+wall-clock `timing_ms` value, the one part of a report that varies between
+runs, is replaced by `<elapsed>` before comparing.  The expected outputs live
 in tests/golden/<case>.out; to rewrite them after an intended change to a
 report, run `PYTHONPATH=src python tests/test_cli_golden.py` and review the
 diff.
@@ -111,26 +111,9 @@ CASES = {
     "gen_out_report": ["gen", "unit-demand", "--n", "2", "--m", "2",
                        "--seed", "3", "--out", "gen.json"],
     "validate_out": ["validate", "ud.json", "--out", "report.json"],
-    "bench_json": ["bench", "--family", "multipeak", "--count", "1", "--m",
-                   "6", "--s", "3", "--k", "2", "--eps", "2/3"],
-    "bench_csv": ["bench", "--family", "additive", "--count", "1", "--m", "4",
-                  "--format", "csv"],
 }
 
 _TIMING = re.compile(r'(timing_ms"?: )[-+0-9.eE]+')
-
-
-def _bench_json(text: str) -> str:
-    report = json.loads(text)
-    for row in report["result"]["rows"]:
-        del row["fast_us"], row["brute_us"]
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
-
-
-def _bench_csv(text: str) -> str:
-    keep = (0, 1, 2, 5)  # seed, m, price_level, match
-    return "".join(",".join(line.split(",")[i] for i in keep) + "\n"
-                   for line in text.splitlines())
 
 
 def run_case(name: str, workdir: Path) -> str:
@@ -156,14 +139,10 @@ def run_case(name: str, workdir: Path) -> str:
         for text in (stdout, written):
             if text:
                 assert dumps(_load_document(text)) == text
-    if argv[0] == "bench":
-        stdout = _bench_json(stdout) if "csv" not in argv else _bench_csv(stdout)
-    stdout = _TIMING.sub(r"\g<1><elapsed>", stdout)
     text = f"exit: {code}\n--- stdout\n{stdout}"
     if "--out" in argv:
-        text += f"--- {argv[argv.index('--out') + 1]}\n"
-        text += _TIMING.sub(r"\g<1><elapsed>", written)
-    return text
+        text += f"--- {argv[argv.index('--out') + 1]}\n{written}"
+    return _TIMING.sub(r"\g<1><elapsed>", text)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -124,6 +124,14 @@ class TestDemandSets:
             demand_sets(mp1, P0_8, cap=4)
         assert info.value.count == 8
 
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_cap_below_one_is_refused(self, monkeypatch, mp1, cap):
+        """Refused before any price table is built."""
+        tables = count_price_tables(monkeypatch)
+        with pytest.raises(ValueError, match=f"cap must be at least 1, got {cap}"):
+            demand_sets(mp1, P0_8, cap=cap)
+        assert tables == []
+
     def test_matches_naive(self, mp1):
         rng = random.Random(22)
         for _ in range(8):

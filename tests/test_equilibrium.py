@@ -315,6 +315,11 @@ class TestMaskSearch:
         assert masks == itemsets == (DemandCapExceededError,
                                      "8 demand sets exceed the cap of 4", 8, 4)
 
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_cap_below_one_is_refused(self, mp1_pair_instance, cap):
+        with pytest.raises(ValueError, match=f"cap must be at least 1, got {cap}"):
+            envy_free_allocation(mp1_pair_instance, PriceVector.zero(8), cap)
+
 
 class TestUnitDemandEnvyFree:
     def test_three_bidders_one_item_witness(self):
