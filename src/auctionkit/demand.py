@@ -32,8 +32,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DemandCapExceededError
-from .itemsets import (EMPTY_SET, ItemSet, bit_reversals, canonical_less,
-                       popcounts)
+from .itemsets import EMPTY_SET, ItemSet, canonical_less, canonical_masks
 from .rationals import scale
 from .valuations import (Additive, BudgetAdditive, MultiPeak, UnitDemand,
                          Valuation, _guard_items,
@@ -122,16 +121,18 @@ class PriceVector:
     __le__ = dominated_by
 
     def raised(self, items: ItemSet, increment: Fraction) -> "PriceVector":
-        increment = Fraction(increment)
+        """The vector with increment, a Fraction or an int, added to the
+        price of each item in items.  The work is on integers: every price
+        goes over denom times the increment's denominator, and from_scaled's
+        one gcd brings the result to canonical form."""
         if items.max_item() > self.num_items:
             raise ValueError("cannot raise an item outside the ground set")
-        denom = math.lcm(self.denom, increment.denominator)
-        scale = denom // self.denom
-        step = increment.numerator * (denom // increment.denominator)
+        num, den = increment.numerator, increment.denominator
+        step = num * self.denom
         mask = items.mask
-        return PriceVector.from_scaled(tuple(
-            n * scale + step if mask >> j & 1 else n * scale
-            for j, n in enumerate(self.nums)), denom)
+        return PriceVector.from_scaled(tuple([
+            n * den + step if mask >> j & 1 else n * den
+            for j, n in enumerate(self.nums)]), self.denom * den)
 
 
 @dataclass(frozen=True)
@@ -149,23 +150,30 @@ def utility(valuation: Valuation, prices: PriceVector, bundle: ItemSet) -> Fract
 
 
 def _price_table(prices: PriceVector) -> tuple[np.ndarray, int]:
-    """Scaled prices of all 2**m sets: table[mask] / denom is p(mask)."""
-    return int_table(prices.nums, np.add), prices.denom
+    """Scaled prices of all 2**m sets in canonical order: table[i] / denom
+    is the price of the set canonical_masks(m)[i]."""
+    table = int_table(prices.nums, np.add)[canonical_masks(prices.num_items)]
+    return table, prices.denom
 
 
 def _utilities(valuation: Valuation, table: tuple[np.ndarray, int]
                ) -> tuple[np.ndarray, int]:
-    """Scaled utilities over all masks: utilities[mask] / denom, from the
-    valuation's value table and a table built by _price_table."""
+    """Scaled utilities of all sets in canonical order, utilities[i] /
+    denom, from the canonical copy of the valuation's value table and a
+    table built by _price_table."""
     vt = value_table(valuation)
     pnums, pden = table
     denom = math.lcm(vt.denom, pden)
     a, b = denom // vt.denom, denom // pden
+    # The ground set comes last in canonical order and costs the most.
     pmax = int(pnums[-1]) if len(pnums) else 0
     # Bounds a and b themselves too: they enter int64 arithmetic even when
     # every value or every price is zero.
     dtype = int_dtype(max(vt.max_abs, 1) * a + max(pmax, 1) * b)
-    util = vt.nums.astype(dtype, copy=False) * a - pnums.astype(dtype, copy=False) * b
+    values = vt.canonical_nums.astype(dtype, copy=False)
+    pnums = pnums.astype(dtype, copy=False)
+    # A factor of 1, common when both denominators agree, costs no pass.
+    util = (values * a if a > 1 else values) - (pnums * b if b > 1 else pnums)
     return util, denom
 
 
@@ -199,10 +207,8 @@ def _maximizers(valuation: Valuation, prices: PriceVector
         return hit[1], hit[2]
     util, denom = _utilities(valuation, table)
     best = util.max()
-    masks = np.flatnonzero(util == best)
-    if len(masks) > 1:
-        rev = bit_reversals(valuation.num_items)[masks]
-        masks = masks[np.lexsort((-rev, popcounts(masks)))]
+    # util is in canonical order, so the maximizers are found in it.
+    masks = canonical_masks(valuation.num_items)[(util == best).nonzero()[0]]
     masks.flags.writeable = False
     top = Fraction(int(best), denom)
     kept[id(valuation)] = (valuation, top, masks)
@@ -217,12 +223,17 @@ def brute_force_demand(valuation: Valuation, prices: PriceVector) -> DemandResul
                         argmax_count=len(masks))
 
 
+def _check_cap(cap: int) -> None:
+    """Refuse a demand-set cap below 1."""
+    if cap < 1:
+        raise ValueError(f"cap must be at least 1, got {cap}")
+
+
 def _demand_masks(valuation: Valuation, prices: PriceVector,
                   cap: int) -> list[int]:
     """The masks of all utility maximizers in canonical order, as ints;
     errors if more than cap, and refuses a cap below 1."""
-    if cap < 1:
-        raise ValueError(f"cap must be at least 1, got {cap}")
+    _check_cap(cap)
     _guard_items(valuation.num_items, "demand-set enumeration")
     _, masks = _maximizers(valuation, prices)
     if len(masks) > cap:

@@ -19,8 +19,8 @@ from typing import Optional, Union
 
 from .errors import GridTooLargeError
 from .itemsets import EMPTY_SET, ItemSet
-from .demand import (PriceVector, _demand_masks, _margins, demand_oracle,
-                     utility)
+from .demand import (PriceVector, _check_cap, _demand_masks, _margins,
+                     demand_oracle, utility)
 from .valuations import (LIMITS, Additive, BudgetAdditive, UnitDemand,
                          _guard_items, eval_valuation, value_table)
 
@@ -88,6 +88,9 @@ def envy_free_allocation(instance, prices: PriceVector,
     returns.
     """
     _check_ground_set(instance, prices)
+    # Before the per-bidder queries, so an instance without bidders
+    # refuses a bad cap too.
+    _check_cap(cap)
     options = [_demand_masks(v, prices, cap) for v in instance.bidders]
     n = len(options)
     order = sorted(range(n), key=lambda i: (-options[i][0].bit_count(), i))

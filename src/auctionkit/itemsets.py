@@ -7,6 +7,7 @@ over masks directly.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -119,20 +120,21 @@ def popcounts(masks: np.ndarray) -> np.ndarray:
     return np.bitwise_count(masks).astype(np.int64)
 
 
-_REV_CACHE: dict[int, np.ndarray] = {}
+@functools.cache
+def canonical_masks(num_items: int) -> np.ndarray:
+    """Every subset mask of a ground set in canonical order, read-only and
+    built once per ground set size: by cardinality, then by sorted item
+    list.
 
-
-def bit_reversals(num_items: int) -> np.ndarray:
-    """rev[mask] = mask with its low num_items bits reversed.
-
-    Among masks of equal popcount, larger rev means lexicographically smaller
-    item list, which is what the canonical tie-break needs.
+    Among masks of equal popcount, the one holding the smallest item of the
+    symmetric difference comes first, which is the one with the larger bit
+    reversal (item 1 in the top bit), so the sort key is the popcount above
+    the complement of the reversal.
     """
-    cached = _REV_CACHE.get(num_items)
-    if cached is None:
-        masks = all_masks(num_items)
-        rev = np.zeros_like(masks)
-        for bit in range(num_items):
-            rev |= ((masks >> bit) & 1) << (num_items - 1 - bit)
-        _REV_CACHE[num_items] = cached = rev
-    return cached
+    masks = all_masks(num_items)
+    rev = np.zeros_like(masks)
+    for bit in range(num_items):
+        rev |= ((masks >> bit) & 1) << (num_items - 1 - bit)
+    order = np.argsort((popcounts(masks) << num_items) | (rev ^ masks[-1]))
+    order.flags.writeable = False
+    return order

@@ -19,7 +19,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import GroundSetTooLargeError, MalformedSystemError
-from .itemsets import ItemSet, all_masks, popcounts
+from .itemsets import ItemSet, all_masks, canonical_masks, popcounts
 from .rationals import scale
 
 # Every size limit, keyed by the name its refusal prints and read at each
@@ -365,6 +365,16 @@ class ValueTable:
     def __post_init__(self):
         object.__setattr__(self, "max_abs", int(np.max(np.abs(self.nums))))
 
+    @cached_property
+    def canonical_nums(self) -> np.ndarray:
+        """nums in canonical order: entry i is the value of the set
+        canonical_masks(num_items)[i].  Read-only; built on first read,
+        which is the first brute-force demand query, and kept as long as
+        the table."""
+        nums = self.nums[canonical_masks(self.num_items)]
+        nums.flags.writeable = False
+        return nums
+
 
 def int_dtype(bound: int):
     """int64 when every integer the caller computes is proven to stay below
@@ -517,12 +527,18 @@ def submodular_by_definition(valuation: Valuation) -> SubmodularReport:
     The scan takes a block of rows at a time and compares every S of the
     block with every T from the block's first S onward in one numpy call.
     The first block is one row, each block that finds no violation doubles
-    the next, and no block holds more than _SCAN_ELEMENTS pairs.  The
+    the next, and no call holds more than _SCAN_ELEMENTS pairs.  The
     answer is still the first pair: let S be the first violating row of a
     block that starts at row `start`, and suppose S violated at some T with
     start <= T < S.  Then row T, which is in the block and comes before S,
     would violate at S.  So S's first violation is at some T >= S, and
     the rows before the block have none at any T.
+
+    A row longer than _SCAN_ELEMENTS is a block of its own, scanned in
+    column chunks of at most _SCAN_ELEMENTS pairs, in ascending T.  The
+    rows before it have no violation at any T, so the first chunk that
+    holds one holds the row's first violating T, and no later chunk need
+    be read.
 
     Every number the scan compares is a sum of two table entries, at most
     2 * max_abs in magnitude.  When that fits int32, the scan runs on an
@@ -541,17 +557,22 @@ def submodular_by_definition(valuation: Valuation) -> SubmodularReport:
         tail = masks[start:]
         rows = max(1, min(rows, _SCAN_ELEMENTS // len(tail)))
         block = tail[:rows, None]
-        lhs = vals[block | tail] + vals[block & tail]
-        rhs = vals[start:start + rows, None] + vals[start:]
-        viol = lhs > rhs
-        if viol.any():
-            row = int(np.argmax(viol.any(axis=1)))
-            s_mask = start + row
-            t_mask = start + int(np.argmax(viol[row]))
-            return SubmodularReport(
-                holds=False,
-                counterexample=(ItemSet.from_mask(s_mask),
-                                ItemSet.from_mask(t_mask)))
+        # A block of two or more rows fits one call; only a single row
+        # longer than _SCAN_ELEMENTS is split.
+        width = len(tail) if rows > 1 else _SCAN_ELEMENTS
+        for lo in range(0, len(tail), width):
+            cols = tail[lo:lo + width]
+            lhs = vals[block | cols] + vals[block & cols]
+            rhs = vals[start:start + rows, None] + vals[start + lo:][:width]
+            viol = lhs > rhs
+            if viol.any():
+                row = int(np.argmax(viol.any(axis=1)))
+                s_mask = start + row
+                t_mask = start + lo + int(np.argmax(viol[row]))
+                return SubmodularReport(
+                    holds=False,
+                    counterexample=(ItemSet.from_mask(s_mask),
+                                    ItemSet.from_mask(t_mask)))
         start += rows
         rows *= 2
     return SubmodularReport(holds=True)

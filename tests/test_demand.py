@@ -24,7 +24,7 @@ from auctionkit import (Additive, BudgetAdditive, Explicit, Instance, ItemSet,
 from auctionkit.errors import DemandCapExceededError, GroundSetTooLargeError
 
 from conftest import count_price_tables
-from reference import (FractionPrices, fraction_algorithm_peak,
+from reference import (FractionPrices, all_subsets, fraction_algorithm_peak,
                        fraction_algorithm_zero, fraction_multipeak_demand,
                        naive_demand, naive_demand_sets)
 
@@ -780,8 +780,11 @@ def _agrees(p, ref):
     assert len(p.nums) == len(ref.prices)
     for bundle in _bundles(p.num_items):
         assert p.total(bundle) == ref.total(bundle)
+    # The table lists the sets in canonical order, as all_subsets does.
     table, denom = demand._price_table(p)
-    assert [F(int(n), denom) for n in table] == ref.price_table()
+    by_mask = ref.price_table()
+    assert [F(int(n), denom) for n in table] == \
+        [by_mask[bundle.mask] for bundle in all_subsets(p.num_items)]
 
 
 class TestPriceVectorAgainstFractions:

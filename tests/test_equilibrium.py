@@ -320,6 +320,11 @@ class TestMaskSearch:
         with pytest.raises(ValueError, match=f"cap must be at least 1, got {cap}"):
             envy_free_allocation(mp1_pair_instance, PriceVector.zero(8), cap)
 
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_cap_below_one_is_refused_without_bidders(self, cap):
+        with pytest.raises(ValueError, match=f"cap must be at least 1, got {cap}"):
+            envy_free_allocation(Instance(2, ()), PriceVector.zero(2), cap)
+
 
 class TestUnitDemandEnvyFree:
     def test_three_bidders_one_item_witness(self):

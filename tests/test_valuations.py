@@ -280,8 +280,11 @@ class TestScanBlocks:
             table[mask] += rng.randint(1, sum(weights))
             yield Explicit(m, tuple(F(x) for x in table)), late
 
-    @pytest.mark.parametrize("cap", [1, 3, 64, valuations._SCAN_ELEMENTS])
-    @pytest.mark.parametrize("m", [7, 8, 9, 10])
+    # Caps of 1 and 3 split every row into column chunks of that many
+    # pairs, a numpy call each, so they run at m = 7 and 8 only.
+    @pytest.mark.parametrize("m, cap", [
+        (m, cap) for cap in (1, 3, 64, valuations._SCAN_ELEMENTS)
+        for m in (7, 8, 9, 10) if cap > 3 or m < 9])
     def test_blocks_match_the_row_scan(self, monkeypatch, cap, m):
         monkeypatch.setattr(valuations, "_SCAN_ELEMENTS", cap)
         rng = random.Random(100 * cap + m)
@@ -294,6 +297,48 @@ class TestScanBlocks:
             if late and not expected.holds:
                 assert expected.counterexample[0].mask > 1 << (m - 1)
         assert {(False, True), (True, False)} <= verdicts
+
+
+class TestScanColumnChunks:
+    """A row longer than _SCAN_ELEMENTS is scanned in column chunks in
+    ascending T; with a tiny cap every row of a small table is.  The tables
+    are quadratic, v(T) = 3m |T| plus w(x, y) for each pair x < y in T, so
+    the square of items x, y over any base set has second difference
+    w(x, y)."""
+
+    @staticmethod
+    def _table(m, plant):
+        """w = -3 everywhere, except:
+        - "early": w(1, 2) = +1, so ({1}, {2}) violates;
+        - "last": w(1, 2) = -1 and v(ground - {1, 2}) raised by 2.  The
+          square of 1, 2 over that set reads +1, every other square at most
+          -1, so the only violation is the scan's last incomparable pair,
+          (ground - {2}, ground - {1})."""
+        w12 = {"none": -3, "early": 1, "last": -1}[plant]
+        table = []
+        for mask in range(1 << m):
+            items = ItemSet.from_mask(mask).items()
+            pairs = [(x, y) for x in items for y in items if x < y]
+            table.append(3 * m * len(items)
+                         + sum(w12 if (x, y) == (1, 2) else -3 for x, y in pairs))
+        if plant == "last":
+            table[(1 << m) - 4] += 2
+        return Explicit.from_scaled(m, table, 1)
+
+    @pytest.mark.parametrize("cap", [1, 2, 5])
+    @pytest.mark.parametrize("m", [3, 4, 6])
+    @pytest.mark.parametrize("plant", ["none", "early", "last"])
+    def test_chunks_match_the_reference(self, monkeypatch, cap, m, plant):
+        monkeypatch.setattr(valuations, "_SCAN_ELEMENTS", cap)
+        v = self._table(m, plant)
+        naive = naive_submodular_counterexample(v)
+        report = submodular_by_definition(v)
+        assert report.holds == (naive is None)
+        assert report.counterexample == naive
+        full = ItemSet(range(1, m + 1))
+        expected = {"none": None, "early": (ItemSet([1]), ItemSet([2])),
+                    "last": (full - ItemSet([2]), full - ItemSet([1]))}
+        assert naive == expected[plant]
 
 
 class TestScanDtypeBoundary:
