@@ -14,7 +14,9 @@ Four routes to a demand set coexist here:
 demand_oracle picks the route for one bidder.  The exhaustive routes share
 one memo of the last price vector queried: its table of set prices and,
 per valuation, the maximizers found there.  A query at other prices
-replaces it, so it holds at most one auction step's work.
+replaces it, so it holds at most one auction step's work.  Their price,
+value and utility tables list the sets in canonical order
+(itemsets.canonical_masks), so the maximizers are read off already sorted.
 
 Canonical tie-break everywhere: among utility maximizers prefer the
 smallest cardinality, then the lexicographically smallest item list.

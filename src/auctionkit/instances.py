@@ -320,7 +320,8 @@ def _subset_keys(m: int) -> list[str]:
     with ",j" appended."""
     keys = [""]
     for j in range(1, m + 1):
-        keys += [f"{key},{j}" if key else str(j) for key in keys]
+        tail = f",{j}"
+        keys += [str(j)] + [key + tail for key in keys[1:]]
     return keys
 
 
@@ -380,11 +381,11 @@ def _parse_values(raw: Any, m: Optional[int], where: str,
 
 
 def _read_table(table_raw: Any, m: int, where: str, canonicalize: bool,
-                index: dict[str, int]) -> tuple[list[int], int]:
+                keys: list[str]) -> tuple[list[int], int]:
     """One explicit table as (nums, denom): the value of mask is
     nums[mask] / denom, and denom is the LCM of the entries' reduced
-    denominators.  index maps canonical subset keys to masks; it is shared
-    by the tables of one document and built on the first of them."""
+    denominators.  keys is _subset_keys(m); it is shared by the tables of
+    one document and built on the first of them."""
     _expect(isinstance(table_raw, dict), f"{where}: expected an object")
     # Both refusals come before any per-entry work, so a document that
     # cannot be valid never makes 2**m of anything.
@@ -394,8 +395,21 @@ def _read_table(table_raw: Any, m: int, where: str, canonicalize: bool,
             f"{where}: explicit tables are limited to {limit} items, got m={m}")
     _expect(len(table_raw) == 1 << m,
             f"{where}: expected {1 << m} subsets, got {len(table_raw)}")
-    if not index:
-        index.update((key, mask) for mask, key in enumerate(_subset_keys(m)))
+    if not keys:
+        keys += _subset_keys(m)
+    # The common table, every canonical key present and every entry a bare
+    # nonnegative integer, is read in bulk, in mask order.  With 2**m
+    # distinct keys of which 2**m are canonical, there is no other key.
+    try:
+        values = list(map(table_raw.__getitem__, keys))
+    except KeyError:
+        values = None
+    if values is not None and set(map(type, values)) == {int} \
+            and min(values) >= 0:
+        return values, 1
+    # Any other table is read entry by entry, which names the first bad
+    # entry in document order.
+    index = dict(zip(keys, range(1 << m)))
     nums = [0] * (1 << m)
     # (mask, value) of the entries that are not integers.
     fractional: list[tuple[int, Fraction]] = []
@@ -430,7 +444,7 @@ def _read_table(table_raw: Any, m: int, where: str, canonicalize: bool,
 
 
 def _decode_bidder(raw: Any, m: int, where: str, canonicalize: bool,
-                   index: dict[str, int]) -> Valuation:
+                   keys: list[str]) -> Valuation:
     _expect(isinstance(raw, dict), f"{where}: expected an object")
     kind = raw.get("type")
     try:
@@ -478,7 +492,7 @@ def _decode_bidder(raw: Any, m: int, where: str, canonicalize: bool,
             _expect(set(raw) == {"type", "table"}, f"{where}: unexpected keys")
             valuation = Explicit.from_scaled(
                 m, *_read_table(raw["table"], m, f"{where}.table",
-                                canonicalize, index))
+                                canonicalize, keys))
             report = check_monotone(valuation)
             if not report.holds:
                 bad, extra = report.counterexample
@@ -517,7 +531,7 @@ def decode_instance(data: Union[bytes, str], *,
     # Without bidders nothing in the document grows with m, so nothing
     # bounds it.
     _expect(len(doc["bidders"]) > 0, "bidders: expected at least one bidder")
-    index: dict[str, int] = {}
+    keys: list[str] = []
     # A bidder document identical to an earlier one decodes to the earlier
     # bidder's object, so the copies share one value table and demand query.
     decoded: list[tuple[Any, Valuation]] = []
@@ -526,7 +540,7 @@ def decode_instance(data: Union[bytes, str], *,
                           if raw == seen and _identical(raw, seen)), None)
         if valuation is None:
             valuation = _decode_bidder(raw, m, f"bidders[{i}]",
-                                       canonicalize_rationals, index)
+                                       canonicalize_rationals, keys)
         decoded.append((raw, valuation))
     bidders = tuple(valuation for _, valuation in decoded)
     metadata = doc.get("metadata", {})

@@ -1,14 +1,16 @@
 """Naive reference oracles used to validate the library's optimized paths.
 
-Everything here but row_scan_submodular and itemset_envy_free_allocation
-is deliberately written the slow, obvious way: plain Fractions, itertools
-over explicit subsets, no numpy, no bitmask tricks.  These are the
-independent second routes that the fast implementations are measured
-against on small ground sets.  row_scan_submodular is the earlier numpy
-form of a fast path, kept so that the fast path's block edges can be
-checked on larger ground sets; itemset_envy_free_allocation is the
-earlier ItemSet form of the envy-free search, kept so that the mask
-search's whole report can be compared with it.
+Everything here but row_scan_submodular, itemset_envy_free_allocation
+and entrywise_read_table is deliberately written the slow, obvious way:
+plain Fractions, itertools over explicit subsets, no numpy, no bitmask
+tricks.  These are the independent second routes that the fast
+implementations are measured against on small ground sets.
+row_scan_submodular is the earlier numpy form of a fast path, kept so
+that the fast path's block edges can be checked on larger ground sets;
+itemset_envy_free_allocation is the earlier ItemSet form of the envy-free
+search, kept so that the mask search's whole report can be compared with
+it; entrywise_read_table is the earlier entry-by-entry table decoder, kept
+so that the bulk decoder's results and refusals can be compared with it.
 FractionPrices stands in for PriceVector wherever only `.prices` is read.
 """
 
@@ -23,7 +25,9 @@ from auctionkit import (EMPTY_SET, Additive, Allocation, Certify,
                         DemandResult, EnvyFreeReport, ItemSet, MultiPeak,
                         PriceVector, Raise, Witness, demand_sets,
                         eval_valuation, utility)
+from auctionkit.errors import SchemaError
 from auctionkit.itemsets import all_masks
+from auctionkit.rationals import parse_rational
 from auctionkit.valuations import (LIMITS, SubmodularReport, _guard_items,
                                    value_table)
 
@@ -425,3 +429,39 @@ class MarginEnglishRule:
         if contested:
             return Raise(ItemSet(contested), self.increment)
         return Certify(Allocation(tuple(ItemSet(w) for w in wants)))
+
+
+def entrywise_read_table(table_raw: dict, m: int, where: str,
+                         canonicalize: bool) -> tuple[list[int], int]:
+    """The earlier entry-by-entry form of instances._read_table, past its
+    size refusals: each entry in document order, its key looked up among
+    the canonical keys written out set by set, its value parsed unless it
+    is a bare nonnegative integer.  The first bad entry is refused."""
+    index = {",".join(map(str, bundle.items())): bundle.mask
+             for bundle in all_subsets(m)}
+    nums = [0] * (1 << m)
+    fractional = []
+    for key, entry in table_raw.items():
+        mask = index.get(key)
+        if mask is None:
+            raise SchemaError(
+                f"{where}[{key!r}]: not a canonical subset key (items "
+                f"1..{m} in ascending decimal, comma-separated, with no "
+                "signs, spaces or leading zeros)")
+        if type(entry) is int and entry >= 0:
+            nums[mask] = entry
+            continue
+        val = parse_rational(entry, canonicalize=canonicalize,
+                             where=f"{where}[{key!r}]")
+        if val.numerator < 0:
+            raise SchemaError(f"{where}[{key!r}]: values must be nonnegative")
+        if val.denominator == 1:
+            nums[mask] = val.numerator
+        else:
+            fractional.append((mask, val))
+    denom = math.lcm(*(val.denominator for _, val in fractional))
+    if denom > 1:
+        nums = [n * denom for n in nums]
+        for mask, val in fractional:
+            nums[mask] = val.numerator * (denom // val.denominator)
+    return nums, denom

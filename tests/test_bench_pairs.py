@@ -222,3 +222,48 @@ def test_lay_harness_replaces_the_checkouts_own_harness(tmp_path):
         assert (checkout / "BENCHMARK.json").read_text() == '{"run_seconds": 40}\n'
         assert (checkout / "src" / "code.py").read_text() == own
     assert (harness / "perfbench" / "run.py").read_text() == "harness run\n"
+
+
+def test_t_975_reads_the_table_then_the_normal_quantile():
+    assert bench_pairs.t_975(1) == 12.706
+    assert bench_pairs.t_975(2) == 4.303
+    assert bench_pairs.t_975(8) == 2.306
+    assert bench_pairs.t_975(30) == 2.042
+    assert round(bench_pairs.t_975(31), 3) == round(bench_pairs.t_975(500), 3) == 1.96
+    values = [bench_pairs.t_975(df) for df in range(1, 40)]
+    assert values == sorted(values, reverse=True)
+    with pytest.raises(ValueError, match="at least 1, got 0"):
+        bench_pairs.t_975(0)
+
+
+def test_rss_fit_ci95_is_the_estimate_plus_or_minus_t_standard_errors():
+    # The line of test_rss_fit_stderr_of_a_known_line_with_residuals: four
+    # runs, two degrees of freedom, t = 4.303.
+    passes = [10, 20, 30, 40]
+    rss = [38 + 0.15 * k + r for k, r in zip(passes, [0.1, -0.1, -0.1, 0.1])]
+    intercept_se, slope_se = bench_pairs.rss_fit_stderr(passes, rss)
+    assert bench_pairs.rss_fit_ci95(passes, rss) == (
+        [round(38 - 4.303 * intercept_se, 4), round(38 + 4.303 * intercept_se, 4)],
+        [round(0.15 - 4.303 * slope_se, 4), round(0.15 + 4.303 * slope_se, 4)])
+    exact = [38 + 0.15 * k for k in passes]
+    assert bench_pairs.rss_fit_ci95(passes, exact) == ([38.0, 38.0], [0.15, 0.15])
+    assert bench_pairs.rss_fit_ci95([7, 8], [40.0, 40.1]) == (None, None)
+
+
+def test_rss_by_passes_puts_the_interval_beside_the_standard_error():
+    result = bench_pairs.rss_by_passes(
+        _side_with_passes([40.5, 41.0, 42.0], [10, 12, 16]),
+        _side_with_passes([41.5, 43.0], [20, 30]))
+    assert result["fit_ci95"]["parent"] == {"intercept_mib": [38.0, 38.0],
+                                            "mib_per_pass": [0.25, 0.25]}
+    assert result["fit_ci95"]["change"] == {"intercept_mib": None,
+                                            "mib_per_pass": None}
+    # Thirty-two runs: thirty degrees of freedom, the table's last row.
+    passes = list(range(10, 42))
+    rss = [38 + 0.15 * k + (0.1 if k % 2 else -0.1) for k in passes]
+    wide = bench_pairs.rss_by_passes(_side_with_passes(rss, passes),
+                                     _side_with_passes(rss, passes))
+    intercept, slope = bench_pairs.rss_fit(passes, rss)
+    _, slope_se = bench_pairs.rss_fit_stderr(passes, rss)
+    assert wide["fit_ci95"]["parent"]["mib_per_pass"] == \
+        [round(slope - 2.042 * slope_se, 4), round(slope + 2.042 * slope_se, 4)]

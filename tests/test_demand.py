@@ -17,7 +17,8 @@ from auctionkit import (Additive, BudgetAdditive, Explicit, Instance, ItemSet,
                         additive_demand, algorithm_peak, algorithm_zero,
                         brute_force_demand, budget_additive_demand,
                         check_monotone, check_submodular, demand,
-                        demand_oracle, demand_sets, itemsets, valuations,
+                        demand_oracle, demand_sets, eval_valuation, itemsets,
+                        valuations,
                         dgs_rule, encode_instance, greedy_submodular_rule,
                         multipeak_demand, run_ascending, unit_demand_demand,
                         utility)
@@ -138,6 +139,73 @@ class TestDemandSets:
             prices = _random_prices(rng, 8, top=2)
             assert demand_sets(mp1, prices, cap=1 << 9) == \
                 naive_demand_sets(mp1, prices)
+
+
+@st.composite
+def _tied_tables(draw):
+    """(valuation, prices): an Explicit or BudgetAdditive valuation on up to
+    8 items with few distinct values, so that maximizers tie often.  Some
+    tables are constant (every set ties at zero prices), and some sit past
+    2**64, where the value table holds Python ints."""
+    m = draw(st.integers(1, 8))
+    shape = draw(st.sampled_from(["small", "constant", "past-int64", "budget"]))
+    if shape == "budget":
+        valuation = BudgetAdditive(
+            tuple(F(draw(st.integers(0, 3))) for _ in range(m)),
+            F(draw(st.integers(0, 6))))
+    else:
+        offset = 2 ** 70 if shape == "past-int64" else 0
+        if shape == "constant":
+            level = draw(st.integers(0, 2))
+            rest = [level] * ((1 << m) - 1)
+        else:
+            rest = draw(st.lists(st.integers(0, 3), min_size=(1 << m) - 1,
+                                 max_size=(1 << m) - 1))
+        valuation = Explicit(m, (F(0),) + tuple(F(offset + x) for x in rest))
+    if shape == "constant" or draw(st.booleans()):
+        prices = PriceVector.zero(m)
+    else:
+        prices = PriceVector(tuple(F(draw(st.integers(0, 4)), draw(
+            st.sampled_from([1, 2]))) for _ in range(m)))
+    return valuation, prices
+
+
+def _sorted_maximizers(valuation, prices):
+    """Every maximizer, found by evaluating each set with Fractions, in
+    the canonical order by a plain sort on (size, item list)."""
+    m = valuation.num_items
+    bundles = [ItemSet.from_mask(mask) for mask in range(1 << m)]
+    gains = [eval_valuation(valuation, b)
+             - sum((prices.prices[j - 1] for j in b), F(0)) for b in bundles]
+    best = max(gains)
+    return best, sorted((b for b, g in zip(bundles, gains) if g == best),
+                        key=lambda b: (len(b), b.items()))
+
+
+class TestCanonicalOrderKernel:
+    """The brute-force route reads maximizers off a utility table in
+    canonical order; a plain sort over every maximizer must agree."""
+
+    @given(_tied_tables())
+    @settings(max_examples=150, deadline=None)
+    def test_maximizers_equal_a_sort_of_every_maximizer(self, case):
+        valuation, prices = case
+        best, expected = _sorted_maximizers(valuation, prices)
+        result = brute_force_demand(valuation, prices)
+        assert result.max_utility == best
+        assert result.witness_set == expected[0]
+        assert result.argmax_count == len(expected)
+        assert demand_sets(valuation, prices, cap=1 << 8) == expected
+
+    @pytest.mark.parametrize("m", [1, 4, 8])
+    def test_a_zero_table_ties_every_set(self, m):
+        valuation = Explicit(m, (F(0),) * (1 << m))
+        expected = sorted(map(ItemSet.from_mask, range(1 << m)),
+                          key=lambda b: (len(b), b.items()))
+        assert demand_sets(valuation, PriceVector.zero(m), cap=1 << m) == \
+            expected
+        assert itemsets.canonical_masks(m).tolist() == \
+            [b.mask for b in expected]
 
 
 class TestAlgorithmZero:

@@ -4,6 +4,7 @@ import ast
 import collections
 import enum
 import json
+import random
 import re
 import sys
 from fractions import Fraction as F
@@ -26,6 +27,8 @@ from auctionkit.errors import (GroundSetTooLargeError,
 from auctionkit.instances import _identical, _load_document, dumps
 from auctionkit.rationals import format_rational, parse_rational
 from auctionkit.valuations import value_table
+
+from reference import entrywise_read_table
 
 
 class TestGenerators:
@@ -549,6 +552,103 @@ class TestDecodedTables:
         assert repr(decoded) == repr(built)
         assert encode_instance(Instance(m, (decoded,))) == \
             encode_instance(Instance(m, (built,)))
+
+    @pytest.mark.parametrize("table", TABLES.values(), ids=list(TABLES))
+    def test_key_order_does_not_matter(self, table):
+        m = (len(table) - 1).bit_length()
+        entries = list(zip(auctionkit.instances._subset_keys(m),
+                           map(format_rational, table)))
+        random.Random(len(table)).shuffle(entries)
+        shuffled = decode_instance(json.dumps({"m": m, "bidders": [
+            {"type": "explicit", "table": dict(entries)}]})).bidders[0]
+        assert shuffled == decode_instance(_explicit_doc(table)).bidders[0]
+        assert shuffled.table == table
+
+    @pytest.mark.parametrize("table, message", [
+        ({"": 0, "2": -1, "x": 1, "1,2": 2},
+         "bidders[0].table['2']: values must be nonnegative"),
+        ({"": 0, "x": 1, "2": -1, "1,2": 2},
+         "bidders[0].table['x']: not a canonical subset key (items 1..2 in "
+         "ascending decimal, comma-separated, with no signs, spaces or "
+         "leading zeros)"),
+    ])
+    def test_the_first_bad_entry_in_document_order_is_named(self, table,
+                                                            message):
+        with pytest.raises(SchemaError) as info:
+            decode_instance(json.dumps({"m": 2, "bidders": [
+                {"type": "explicit", "table": table}]}))
+        assert str(info.value) == message
+
+    # m = 3 tables as (key, entry) lists in document order, each a change
+    # of the canonical integer table below.
+    _KEYS = ["", "1", "2", "1,2", "3", "1,3", "2,3", "1,2,3"]
+    _INTS = [0, 2, 3, 4, 5, 6, 7, 8]
+
+    @staticmethod
+    def _case(name):
+        entries = list(zip(TestDecodedTables._KEYS, TestDecodedTables._INTS))
+        if name == "shuffled":
+            random.Random(3).shuffle(entries)
+        elif name == "fractions":
+            entries[1:3] = [("1", "1/2"), ("2", "2/3")]
+        elif name == "integer-strings":
+            entries = [(k, str(x)) for k, x in entries]
+        elif name == "past-int64":
+            entries = [(k, x * 2 ** 63 + x) for k, x in entries]
+        elif name == "past-int64-strings":
+            entries = [(k, str(x * 2 ** 64)) for k, x in entries]
+        elif name == "negative":
+            entries[5] = ("1,3", -1)
+        elif name == "negative-fraction":
+            entries[2] = ("2", "-1/2")
+        elif name == "boolean":
+            entries[3] = ("1,2", True)
+        elif name == "float":
+            entries[4] = ("3", 5.0)
+        elif name == "unreduced":
+            entries[6] = ("2,3", "14/2")
+        elif name == "non-canonical-key":
+            entries[3] = ("2,1", 4)
+        elif name == "missing-key":
+            # "3" is absent; the table still has 2**m entries.
+            entries[4] = ("03", 5)
+        elif name == "negative-before-bad-key":
+            entries[2] = ("2", -3)
+            entries[6] = ("3,2", 7)
+        elif name == "bad-key-before-negative":
+            entries[2] = ("x", 3)
+            entries[6] = ("2,3", -7)
+        return dict(entries)
+
+    @pytest.mark.parametrize("canonicalize", [False, True])
+    @pytest.mark.parametrize("name", [
+        "canonical", "shuffled", "fractions", "integer-strings",
+        "past-int64", "past-int64-strings", "negative", "negative-fraction",
+        "boolean", "float", "unreduced", "non-canonical-key", "missing-key",
+        "negative-before-bad-key", "bad-key-before-negative"])
+    def test_bulk_read_matches_the_entrywise_read(self, name, canonicalize):
+        """The bulk read of the common integer table and the entry-by-entry
+        read of every other table give the earlier decoder's exact numbers,
+        or its exact refusal."""
+        def outcome(read):
+            try:
+                nums, denom = read()
+            except SchemaError as exc:
+                return "refused", str(exc)
+            return [(type(n), n) for n in nums], denom
+
+        raw = self._case(name)
+        where = "bidders[0].table"
+        mine = outcome(lambda: auctionkit.instances._read_table(
+            raw, 3, where, canonicalize, []))
+        assert mine == outcome(lambda: entrywise_read_table(
+            raw, 3, where, canonicalize))
+        refused = {"negative", "negative-fraction", "boolean", "float",
+                   "non-canonical-key", "missing-key",
+                   "negative-before-bad-key", "bad-key-before-negative"}
+        if name == "unreduced" and not canonicalize:
+            refused.add(name)
+        assert (mine[0] == "refused") == (name in refused)
 
     @pytest.mark.parametrize("table, where, message", [
         ((1, 2), "bidders[0]", "the empty set must have value 0"),

@@ -24,7 +24,8 @@ pairs the change won, and per metric whether a claimed gain would hold.
 Beside them, each side's median pass count and median peak_rss_mib, with
 the RSS difference per extra pass and each side's least-squares line of
 peak_rss_mib against passes, with the standard errors of its intercept
-and slope, since the harness's own records grow with the pass count, and
+and slope and a 95% t-interval for each, since the harness's own records
+grow with the pass count, and
 `outputs_equal`: whether every run of both sides reported one and the same
 results digest.  Each side's `src_lines`, the newline count of its
 `src/**/*.py` as `wc -l` gives it, records the size of the code measured.
@@ -208,6 +209,38 @@ def rss_fit_stderr(passes: list, rss: list[float]) -> tuple:
             round((residual / sxx) ** 0.5, 4))
 
 
+# Student's t_{0.975, df} for df = 1..30, to three decimals; past 30 the
+# normal quantile stands in.
+T_975 = (12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262,
+         2.228, 2.201, 2.179, 2.160, 2.145, 2.131, 2.120, 2.110, 2.101,
+         2.093, 2.086, 2.080, 2.074, 2.069, 2.064, 2.060, 2.056, 2.052,
+         2.048, 2.045, 2.042)
+
+
+def t_975(df: int) -> float:
+    """The two-sided 95% critical value of Student's t with df >= 1
+    degrees of freedom."""
+    if df < 1:
+        raise ValueError(f"degrees of freedom must be at least 1, got {df}")
+    if df <= len(T_975):
+        return T_975[df - 1]
+    return statistics.NormalDist().inv_cdf(0.975)
+
+
+def rss_fit_ci95(passes: list, rss: list[float]) -> tuple:
+    """95% t-intervals [low, high] of rss_fit's intercept and slope: each
+    estimate plus or minus t_{0.975, n-2} times its rss_fit_stderr; (None,
+    None) when rss_fit_stderr has no standard errors."""
+    intercept_se, slope_se = rss_fit_stderr(passes, rss)
+    if intercept_se is None:
+        return None, None
+    intercept, slope = rss_fit(passes, rss)
+    t = t_975(len(passes) - 2)
+    return tuple([round(estimate - t * se, 4), round(estimate + t * se, 4)]
+                 for estimate, se in ((intercept, intercept_se),
+                                      (slope, slope_se)))
+
+
 def rss_by_passes(parent: dict, change: dict) -> dict:
     """Each side's median pass count beside its median peak_rss_mib, the
     RSS difference per extra pass of the change, and each side's
@@ -218,9 +251,10 @@ def rss_by_passes(parent: dict, change: dict) -> dict:
     the program's own.  The fit's intercept is the memory a side would read
     at no passes, the program's, and its slope the records one pass adds.
     The per-pass figure is None when the medians run equally many passes or
-    a report has no pass count.
+    a report has no pass count.  Beside each fit's standard errors,
+    `fit_ci95` holds their 95% t-intervals.
     """
-    out = {"fit": {}, "fit_stderr": {}}
+    out = {"fit": {}, "fit_stderr": {}, "fit_ci95": {}}
     for side, summary in (("parent", parent), ("change", change)):
         passes = summary["passes"]
         rss = summary["metrics"]["peak_rss_mib"]
@@ -233,6 +267,9 @@ def rss_by_passes(parent: dict, change: dict) -> dict:
         intercept_se, slope_se = rss_fit_stderr(passes, rss["runs"])
         out["fit_stderr"][side] = {"intercept_mib": intercept_se,
                                    "mib_per_pass": slope_se}
+        intercept_ci, slope_ci = rss_fit_ci95(passes, rss["runs"])
+        out["fit_ci95"][side] = {"intercept_mib": intercept_ci,
+                                 "mib_per_pass": slope_ci}
     before, after = out["parent"], out["change"]
     extra = (None if None in (before["median_passes"], after["median_passes"])
              else after["median_passes"] - before["median_passes"])
