@@ -18,8 +18,8 @@ from auctionkit import (Additive, BudgetAdditive, Explicit, Instance, ItemSet,
                         brute_force_demand, budget_additive_demand,
                         check_monotone, check_submodular, demand,
                         demand_oracle, demand_sets, eval_valuation, itemsets,
-                        valuations,
-                        dgs_rule, encode_instance, greedy_submodular_rule,
+                        valuations, dgs_rule, encode_instance,
+                        greedy_submodular_rule,
                         multipeak_demand, run_ascending, unit_demand_demand,
                         utility)
 from auctionkit.errors import DemandCapExceededError, GroundSetTooLargeError

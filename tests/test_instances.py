@@ -564,23 +564,8 @@ class TestDecodedTables:
         assert shuffled == decode_instance(_explicit_doc(table)).bidders[0]
         assert shuffled.table == table
 
-    @pytest.mark.parametrize("table, message", [
-        ({"": 0, "2": -1, "x": 1, "1,2": 2},
-         "bidders[0].table['2']: values must be nonnegative"),
-        ({"": 0, "x": 1, "2": -1, "1,2": 2},
-         "bidders[0].table['x']: not a canonical subset key (items 1..2 in "
-         "ascending decimal, comma-separated, with no signs, spaces or "
-         "leading zeros)"),
-    ])
-    def test_the_first_bad_entry_in_document_order_is_named(self, table,
-                                                            message):
-        with pytest.raises(SchemaError) as info:
-            decode_instance(json.dumps({"m": 2, "bidders": [
-                {"type": "explicit", "table": table}]}))
-        assert str(info.value) == message
-
-    # m = 3 tables as (key, entry) lists in document order, each a change
-    # of the canonical integer table below.
+    # The m = 3 tables of test_bulk_read_matches_the_entrywise_read: this
+    # canonical integer table, and _case's named changes of it.
     _KEYS = ["", "1", "2", "1,2", "3", "1,3", "2,3", "1,2,3"]
     _INTS = [0, 2, 3, 4, 5, 6, 7, 8]
 
