@@ -123,12 +123,15 @@ class PriceVector:
     __le__ = dominated_by
 
     def raised(self, items: ItemSet, increment: Fraction) -> "PriceVector":
-        """The vector with increment, a Fraction or an int, added to the
-        price of each item in items.  The work is on integers: every price
-        goes over denom times the increment's denominator, and from_scaled's
-        one gcd brings the result to canonical form."""
+        """The vector with increment, anything Fraction() takes, added to
+        the price of each item in items.  The work is on integers: every
+        price goes over denom times the increment's denominator, and
+        from_scaled's one gcd brings the result to canonical form."""
         if items.max_item() > self.num_items:
             raise ValueError("cannot raise an item outside the ground set")
+        # A Fraction or an int, what the rules pass, is read as it is.
+        if type(increment) not in (Fraction, int):
+            increment = Fraction(increment)
         num, den = increment.numerator, increment.denominator
         step = num * self.denom
         mask = items.mask

@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
-from typing import Any, NoReturn, Optional, Union
+from typing import Any, Iterable, NoReturn, Optional, Union
 
 from .errors import (GroundSetTooLargeError, InfeasibleGenerationError,
                      SchemaError)
@@ -380,48 +380,14 @@ def _parse_values(raw: Any, m: Optional[int], where: str,
     return tuple(out)
 
 
-def _read_table(table_raw: Any, m: int, where: str, canonicalize: bool,
-                keys: list[str]) -> tuple[list[int], int]:
-    """One explicit table as (nums, denom): the value of mask is
-    nums[mask] / denom, and denom is the LCM of the entries' reduced
-    denominators.  keys is _subset_keys(m); it is shared by the tables of
-    one document and built on the first of them."""
-    _expect(isinstance(table_raw, dict), f"{where}: expected an object")
-    # Both refusals come before any per-entry work, so a document that
-    # cannot be valid never makes 2**m of anything.
-    limit = LIMITS["an explicit table"]
-    if m > limit:
-        raise GroundSetTooLargeError(
-            f"{where}: explicit tables are limited to {limit} items, got m={m}")
-    _expect(len(table_raw) == 1 << m,
-            f"{where}: expected {1 << m} subsets, got {len(table_raw)}")
-    if not keys:
-        keys += _subset_keys(m)
-    # The common table, every canonical key present and every entry a bare
-    # nonnegative integer, is read in bulk, in mask order.  With 2**m
-    # distinct keys of which 2**m are canonical, there is no other key.
-    try:
-        values = list(map(table_raw.__getitem__, keys))
-    except KeyError:
-        values = None
-    if values is not None and set(map(type, values)) == {int} \
-            and min(values) >= 0:
-        return values, 1
-    # Any other table is read entry by entry, which names the first bad
-    # entry in document order.
-    index = dict(zip(keys, range(1 << m)))
-    nums = [0] * (1 << m)
+def _scaled_entries(entries: Iterable[tuple[int, str, Any]], size: int,
+                    where: str, canonicalize: bool) -> tuple[list[int], int]:
+    """(nums, denom) of a table from its (mask, key, entry) triples, one per
+    subset; refuses the first bad entry in the order given."""
+    nums = [0] * size
     # (mask, value) of the entries that are not integers.
     fractional: list[tuple[int, Fraction]] = []
-    # With exactly 2**m distinct keys, each of them canonical, every subset
-    # is filled exactly once.
-    for key, entry in table_raw.items():
-        mask = index.get(key)
-        if mask is None:
-            raise SchemaError(
-                f"{where}[{key!r}]: not a canonical subset key (items "
-                f"1..{m} in ascending decimal, comma-separated, with no "
-                "signs, spaces or leading zeros)")
+    for mask, key, entry in entries:
         # A bare nonnegative integer needs no parsing; any other entry goes
         # through the shared parser.
         if type(entry) is int and entry >= 0:
@@ -441,6 +407,56 @@ def _read_table(table_raw: Any, m: int, where: str, canonicalize: bool,
         for mask, val in fractional:
             nums[mask] = val.numerator * (denom // val.denominator)
     return nums, denom
+
+
+def _read_table(table_raw: Any, m: int, where: str, canonicalize: bool,
+                keys: list[str]) -> tuple[list[int], int]:
+    """One explicit table as (nums, denom): the value of mask is
+    nums[mask] / denom, and denom is the LCM of the entries' reduced
+    denominators.  keys is _subset_keys(m); it is shared by the tables of
+    one document and built on the first of them."""
+    _expect(isinstance(table_raw, dict), f"{where}: expected an object")
+    # Both refusals come before any per-entry work, so a document that
+    # cannot be valid never makes 2**m of anything.
+    limit = LIMITS["an explicit table"]
+    if m > limit:
+        raise GroundSetTooLargeError(
+            f"{where}: explicit tables are limited to {limit} items, got m={m}")
+    _expect(len(table_raw) == 1 << m,
+            f"{where}: expected {1 << m} subsets, got {len(table_raw)}")
+    if not keys:
+        keys += _subset_keys(m)
+    # With 2**m distinct keys of which 2**m are canonical, there is no other
+    # key, and the entries are read in mask order.  A table of bare
+    # nonnegative integers, the common one, needs no more than that.
+    try:
+        values = list(map(table_raw.__getitem__, keys))
+    except KeyError:
+        values = None
+    if values is not None:
+        if set(map(type, values)) == {int} and min(values) >= 0:
+            return values, 1
+        try:
+            return _scaled_entries(zip(range(1 << m), keys, values), 1 << m,
+                                   where, canonicalize)
+        except SchemaError:
+            pass
+    # A key that is not canonical or a bad entry refuses the document.  The
+    # refusal names the first fault in document order, so the table is
+    # read again in that order, which only a refused table pays for.
+    index = dict(zip(keys, range(1 << m)))
+
+    def located():
+        for key, entry in table_raw.items():
+            mask = index.get(key)
+            if mask is None:
+                raise SchemaError(
+                    f"{where}[{key!r}]: not a canonical subset key (items "
+                    f"1..{m} in ascending decimal, comma-separated, with no "
+                    "signs, spaces or leading zeros)")
+            yield mask, key, entry
+
+    return _scaled_entries(located(), 1 << m, where, canonicalize)
 
 
 def _decode_bidder(raw: Any, m: int, where: str, canonicalize: bool,

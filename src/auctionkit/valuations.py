@@ -50,6 +50,12 @@ _INT64_GUARD = 1 << 60
 # two fast caps, the smaller keeps further from the slow blocks of 2**17.
 _SCAN_ELEMENTS = 1 << 15
 
+# The narrowest column chunk a long row is split into.  Below it a numpy
+# call costs mostly its own overhead: one row of the scan at m=16 took
+# 371 ns a pair in chunks of 16 pairs, 8.9 ns in chunks of 2**10 and
+# 4.7 ns in chunks of 2**12 (2-CPU Xeon, numpy 2.4).
+_MIN_CHUNK = 1 << 12
+
 _INT32_MAX = np.iinfo(np.int32).max
 
 
@@ -527,18 +533,18 @@ def submodular_by_definition(valuation: Valuation) -> SubmodularReport:
     The scan takes a block of rows at a time and compares every S of the
     block with every T from the block's first S onward in one numpy call.
     The first block is one row, each block that finds no violation doubles
-    the next, and no call holds more than _SCAN_ELEMENTS pairs.  The
-    answer is still the first pair: let S be the first violating row of a
+    the next, and a block of two or more rows holds at most _SCAN_ELEMENTS
+    pairs.  The answer is still the first pair: let S be the first violating row of a
     block that starts at row `start`, and suppose S violated at some T with
     start <= T < S.  Then row T, which is in the block and comes before S,
     would violate at S.  So S's first violation is at some T >= S, and
     the rows before the block have none at any T.
 
-    A row longer than _SCAN_ELEMENTS is a block of its own, scanned in
-    column chunks of at most _SCAN_ELEMENTS pairs, in ascending T.  The
-    rows before it have no violation at any T, so the first chunk that
-    holds one holds the row's first violating T, and no later chunk need
-    be read.
+    A row longer than _SCAN_ELEMENTS is a block of its own.  It is scanned
+    in column chunks of width = max(_SCAN_ELEMENTS, _MIN_CHUNK) pairs, in
+    ascending T, when it is longer than that width.  The rows before it
+    have no violation at any T, so the first chunk that holds one holds the
+    row's first violating T, and no later chunk need be read.
 
     Every number the scan compares is a sum of two table entries, at most
     2 * max_abs in magnitude.  When that fits int32, the scan runs on an
@@ -558,8 +564,8 @@ def submodular_by_definition(valuation: Valuation) -> SubmodularReport:
         rows = max(1, min(rows, _SCAN_ELEMENTS // len(tail)))
         block = tail[:rows, None]
         # A block of two or more rows fits one call; only a single row
-        # longer than _SCAN_ELEMENTS is split.
-        width = len(tail) if rows > 1 else _SCAN_ELEMENTS
+        # longer than both _SCAN_ELEMENTS and _MIN_CHUNK is split.
+        width = len(tail) if rows > 1 else max(_SCAN_ELEMENTS, _MIN_CHUNK)
         for lo in range(0, len(tail), width):
             cols = tail[lo:lo + width]
             lhs = vals[block | cols] + vals[block & cols]

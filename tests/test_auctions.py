@@ -65,6 +65,19 @@ class TestEngineContract:
         with pytest.raises(RuleViolationError, match="increment"):
             run_ascending(single_item_3_5, ZeroRaiser(), 5)
 
+    def test_a_rule_may_raise_by_a_float(self, single_item_3_5):
+        # Raise.increment reaches PriceVector.raised as the rule gave it.
+        class HalfRaiser:
+            name = "half"
+
+            def __call__(self, instance, prices, demands):
+                return Raise(ItemSet([1]), 0.5)
+
+        trace = run_ascending(single_item_3_5, HalfRaiser(), 4)
+        assert [s.prices.prices for s in trace.steps] == \
+            [(F(0),), (F(1, 2),), (F(1),), (F(3, 2),)]
+        assert trace.outcome.prices == PriceVector((F(2),))
+
     @staticmethod
     def _always(decision):
         class Rule:

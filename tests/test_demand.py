@@ -4,10 +4,12 @@ import dataclasses
 import gc
 import random
 import weakref
+from decimal import Decimal
 from fractions import Fraction as F
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -809,6 +811,18 @@ class TestPriceVector:
     def test_raised(self):
         p = PriceVector.zero(3).raised(ItemSet([1, 3]), F(1, 2))
         assert p.prices == (F(1, 2), F(0), F(1, 2))
+
+    @pytest.mark.parametrize("increment", [
+        0.5, "1/2", Decimal("0.5"), F(1, 2), F(2, 4), np.float64(0.5)])
+    def test_raised_takes_what_fraction_takes(self, increment):
+        p = PriceVector((F(1, 3), F(0), F(0))).raised(ItemSet([1, 3]), increment)
+        assert p.prices == (F(5, 6), F(0), F(1, 2))
+        assert (p.nums, p.denom) == ((5, 0, 3), 6)
+
+    @pytest.mark.parametrize("increment", [1, True, np.int64(1), "1"])
+    def test_raised_by_a_whole_number(self, increment):
+        p = PriceVector((F(1, 3), F(0))).raised(ItemSet([2]), increment)
+        assert (p.nums, p.denom) == ((1, 3), 3)
 
     def test_price_of_each_item(self):
         p = PriceVector((F(1), F(1, 2), F(3)))

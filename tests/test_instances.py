@@ -603,6 +603,16 @@ class TestDecodedTables:
         elif name == "bad-key-before-negative":
             entries[2] = ("x", 3)
             entries[6] = ("2,3", -7)
+        elif name == "faults-against-mask-order":
+            # Every key canonical; "2,3" (mask 6) is refused first in
+            # document order, though "1" (mask 1) comes first by mask.
+            entries[1] = ("1", "2/4")
+            entries[6] = ("2,3", "-1/2")
+            entries.insert(0, entries.pop(6))
+        elif name == "fractions-shuffled":
+            entries[1:3] = [("1", "1/2"), ("2", "2/3")]
+            entries[7] = ("1,2,3", "17/2")
+            random.Random(4).shuffle(entries)
         return dict(entries)
 
     @pytest.mark.parametrize("canonicalize", [False, True])
@@ -610,7 +620,8 @@ class TestDecodedTables:
         "canonical", "shuffled", "fractions", "integer-strings",
         "past-int64", "past-int64-strings", "negative", "negative-fraction",
         "boolean", "float", "unreduced", "non-canonical-key", "missing-key",
-        "negative-before-bad-key", "bad-key-before-negative"])
+        "negative-before-bad-key", "bad-key-before-negative",
+        "faults-against-mask-order", "fractions-shuffled"])
     def test_bulk_read_matches_the_entrywise_read(self, name, canonicalize):
         """The bulk read of the common integer table and the entry-by-entry
         read of every other table give the earlier decoder's exact numbers,
@@ -630,10 +641,31 @@ class TestDecodedTables:
             raw, 3, where, canonicalize))
         refused = {"negative", "negative-fraction", "boolean", "float",
                    "non-canonical-key", "missing-key",
-                   "negative-before-bad-key", "bad-key-before-negative"}
+                   "negative-before-bad-key", "bad-key-before-negative",
+                   "faults-against-mask-order"}
         if name == "unreduced" and not canonicalize:
             refused.add(name)
         assert (mine[0] == "refused") == (name in refused)
+        if name == "faults-against-mask-order":
+            assert "['2,3']" in mine[1]
+
+    def test_tables_of_one_document_share_the_keys(self):
+        """An integer table, a fractional one and a refused one in one
+        document: the first two decode as they do alone, and the refusal
+        names the third bidder's first bad entry in document order."""
+        tables = [self._case("shuffled"), self._case("fractions-shuffled"),
+                  self._case("faults-against-mask-order")]
+        alone = [decode_instance(json.dumps({"m": 3, "bidders": [
+            {"type": "explicit", "table": t}]})).bidders[0]
+            for t in tables[:2]]
+        both = decode_instance(json.dumps({"m": 3, "bidders": [
+            {"type": "explicit", "table": t} for t in tables[:2]]}))
+        assert both.bidders == tuple(alone)
+        with pytest.raises(SchemaError) as info:
+            decode_instance(json.dumps({"m": 3, "bidders": [
+                {"type": "explicit", "table": t} for t in tables]}))
+        assert str(info.value) == \
+            "bidders[2].table['2,3']: values must be nonnegative"
 
     @pytest.mark.parametrize("table, where, message", [
         ((1, 2), "bidders[0]", "the empty set must have value 0"),

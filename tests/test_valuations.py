@@ -280,11 +280,8 @@ class TestScanBlocks:
             table[mask] += rng.randint(1, sum(weights))
             yield Explicit(m, tuple(F(x) for x in table)), late
 
-    # Caps of 1 and 3 split every row into column chunks of that many
-    # pairs, a numpy call each, so they run at m = 7 and 8 only.
-    @pytest.mark.parametrize("m, cap", [
-        (m, cap) for cap in (1, 3, 64, valuations._SCAN_ELEMENTS)
-        for m in (7, 8, 9, 10) if cap > 3 or m < 9])
+    @pytest.mark.parametrize("cap", [1, 3, 64, valuations._SCAN_ELEMENTS])
+    @pytest.mark.parametrize("m", [7, 8, 9, 10])
     def test_blocks_match_the_row_scan(self, monkeypatch, cap, m):
         monkeypatch.setattr(valuations, "_SCAN_ELEMENTS", cap)
         rng = random.Random(100 * cap + m)
@@ -300,11 +297,11 @@ class TestScanBlocks:
 
 
 class TestScanColumnChunks:
-    """A row longer than _SCAN_ELEMENTS is scanned in column chunks in
-    ascending T; with a tiny cap every row of a small table is.  The tables
-    are quadratic, v(T) = 3m |T| plus w(x, y) for each pair x < y in T, so
-    the square of items x, y over any base set has second difference
-    w(x, y)."""
+    """A row longer than both _SCAN_ELEMENTS and _MIN_CHUNK is scanned in
+    column chunks in ascending T; with both patched tiny every row of a
+    small table is.  The tables of _table are quadratic, v(T) = 3m |T|
+    plus w(x, y) for each pair x < y in T, so the square of items x, y
+    over any base set has second difference w(x, y)."""
 
     @staticmethod
     def _table(m, plant):
@@ -330,6 +327,7 @@ class TestScanColumnChunks:
     @pytest.mark.parametrize("plant", ["none", "early", "last"])
     def test_chunks_match_the_reference(self, monkeypatch, cap, m, plant):
         monkeypatch.setattr(valuations, "_SCAN_ELEMENTS", cap)
+        monkeypatch.setattr(valuations, "_MIN_CHUNK", 1)
         v = self._table(m, plant)
         naive = naive_submodular_counterexample(v)
         report = submodular_by_definition(v)
@@ -339,6 +337,21 @@ class TestScanColumnChunks:
         expected = {"none": None, "early": (ItemSet([1]), ItemSet([2])),
                     "last": (full - ItemSet([2]), full - ItemSet([1]))}
         assert naive == expected[plant]
+
+    @pytest.mark.parametrize("cap, floor", [(1, 16), (3, 1), (40, 7)])
+    @pytest.mark.parametrize("m", [7, 8])
+    def test_chunks_match_the_row_scan(self, monkeypatch, cap, floor, m):
+        # The random tables of TestScanBlocks, violations late ones
+        # included; chunks are max(cap, floor) pairs wide.
+        monkeypatch.setattr(valuations, "_SCAN_ELEMENTS", cap)
+        monkeypatch.setattr(valuations, "_MIN_CHUNK", floor)
+        rng = random.Random(1000 * cap + 10 * floor + m)
+        verdicts = set()
+        for v, late in TestScanBlocks._tables(rng, m):
+            expected = row_scan_submodular(v)
+            assert submodular_by_definition(v) == expected
+            verdicts.add((late, expected.holds))
+        assert {(False, True), (True, False)} <= verdicts
 
 
 class TestScanDtypeBoundary:
