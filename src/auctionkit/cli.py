@@ -69,10 +69,14 @@ def _cmd_gen(args) -> tuple[dict, int, bytes | None]:
 
 def _cmd_validate(args) -> tuple[dict, int, None]:
     instance = _load_instance(args.instance)
+    # Identical bidder documents decode to one valuation object, which is
+    # checked once.
+    checked: dict[int, tuple] = {}
     reports = []
     for i, v in enumerate(instance.bidders):
-        mono = check_monotone(v)
-        sub = check_submodular(v)
+        if id(v) not in checked:
+            checked[id(v)] = check_monotone(v), check_submodular(v)
+        mono, sub = checked[id(v)]
         entry = {
             "bidder": i,
             "type": type(v).__name__,

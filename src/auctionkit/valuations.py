@@ -43,20 +43,24 @@ LIMITS = {
 _INT64_GUARD = 1 << 60
 
 # The most subset pairs submodular_by_definition compares in one numpy
-# call: a full row of pairs at m=15.  Set from per-call timings of the scan
-# on int32 tables (2-CPU Xeon, numpy 2.4), the 19 submodular corpus bidders
-# at m=12..14, best of 5 interleaved calls each: 2**15 and 2**16 took 3.2 s
-# in all, 2**14 3.6 s and 2**17 6.0 s (int64 at 2**14 took 4.2 s).  Of the
-# two fast caps, the smaller keeps further from the slow blocks of 2**17.
+# call; its square root, rounded down to a power of two, is the scan's
+# R = 2**r rows per group (128 from m = 7 on).  Set from timings of the scan (2-CPU
+# Xeon, numpy 2.4) on the 19 submodular corpus bidders at m=12..14, best of
+# 5 interleaved rounds, in all: on their uint16 tables 2.30 s at 2**14,
+# 1.98 s at 2**15, 1.88 s at 2**16 and 1.83 s at 2**17; times 4 (uint32)
+# 2.65, 2.37, 2.34 and 2.31 s; times 2**40 (uint64) 3.42, 3.13, 3.18 and
+# 3.30 s.  2**15 is the fastest on uint64 and within 8% of the fastest on
+# the narrower dtypes, with a quarter of 2**17's scratch arrays.
 _SCAN_ELEMENTS = 1 << 15
 
-# The narrowest column chunk a long row is split into.  Below it a numpy
-# call costs mostly its own overhead: one row of the scan at m=16 took
-# 371 ns a pair in chunks of 16 pairs, 8.9 ns in chunks of 2**10 and
-# 4.7 ns in chunks of 2**12 (2-CPU Xeon, numpy 2.4).
+# The floor of the scan's call width: a call compares up to
+# max(_SCAN_ELEMENTS, _MIN_CHUNK) pairs, so this binds only when
+# _SCAN_ELEMENTS is set below it.  Narrower calls cost mostly numpy's own
+# overhead: with _SCAN_ELEMENTS
+# = 16 (R = 4), the scan of an m=11 multi-peak table took 686 ns a pair in
+# calls of 16 pairs, 17 ns in calls of 2**10, 9.6 ns in calls of 2**12 and
+# 8.3 ns in calls of 2**15 (2-CPU Xeon, numpy 2.4).
 _MIN_CHUNK = 1 << 12
-
-_INT32_MAX = np.iinfo(np.int32).max
 
 
 def _fractions(values) -> tuple[Fraction, ...]:
@@ -530,57 +534,92 @@ def submodular_by_definition(valuation: Valuation) -> SubmodularReport:
     T ascending) order.  The condition is symmetric in S and T, so no row
     S needs a T before it.
 
-    The scan takes a block of rows at a time and compares every S of the
-    block with every T from the block's first S onward in one numpy call.
-    The first block is one row, each block that finds no violation doubles
-    the next, and a block of two or more rows holds at most _SCAN_ELEMENTS
-    pairs.  The answer is still the first pair: let S be the first violating row of a
-    block that starts at row `start`, and suppose S violated at some T with
-    start <= T < S.  Then row T, which is in the block and comes before S,
-    would violate at S.  So S's first violation is at some T >= S, and
-    the rows before the block have none at any T.
+    Each mask splits into a group g, its high bits, and r low bits a, with
+    R = 2**r the largest power of two at most 2**m whose square is at most
+    _SCAN_ELEMENTS; the table is read as V[g, a].  For S = (g, a) and
+    T = (h, b), S | T = (g | h, a | b) and S & T = (g & h, a & b).  So one
+    numpy call compares a block of rows a of group g with every b of whole
+    groups h >= g, as V[g | h][a | b] + V[g & h][a & b] > V[g, a] + V[h, b],
+    reading a | b and a & b from two R x R index tables built once per
+    scan.  A call compares at most max(_SCAN_ELEMENTS, _MIN_CHUNK) pairs,
+    and the calls of a block go in ascending h.  Group 0 goes in the
+    aligned row blocks [0, 1), [1, 2), [2, 4) ... [R/2, R), so row 0 is
+    decided first; every later group is one block.
 
-    A row longer than _SCAN_ELEMENTS is a block of its own.  It is scanned
-    in column chunks of width = max(_SCAN_ELEMENTS, _MIN_CHUNK) pairs, in
-    ascending T, when it is longer than that width.  The rows before it
-    have no violation at any T, so the first chunk that holds one holds the
-    row's first violating T, and no later chunk need be read.
+    The first block that shows a violation is scanned again one row at a
+    time, in ascending a, each row in ascending T from the call where the
+    block showed it; no earlier call of the block holds a violation in any
+    of its rows.  The first violation a row shows is the answer.  Every row
+    before it has no violation at any T in its own group or after.  A row
+    also compares the pairs (S, T) with T < S in its own group, and there
+    T is one of those earlier rows, so (T, S) holds and by symmetry
+    (S, T) does.  So the row's first violation is at some T >= S.
 
     Every number the scan compares is a sum of two table entries, at most
-    2 * max_abs in magnitude.  When that fits int32, the scan runs on an
-    int32 copy of the table, which is exact and moves half the bytes;
-    otherwise on the table itself.
+    2 * max_abs, and no value table has a negative entry: Explicit and the
+    per-item classes refuse negative values, and the multi-peak formulas
+    are nonnegative on every ground set MultiPeak accepts.  So the scan
+    runs, exactly, on the narrowest unsigned dtype that holds 2 * max_abs:
+    uint8, uint16, uint32 or uint64, and Python ints (object dtype) past
+    2**64.  Only that one dtype meets in the arithmetic; numpy would turn
+    a mix of int64 and uint64 into float64.
     """
     m = valuation.num_items
     _guard_items(m, "check_submodular")
     table = value_table(valuation)
-    vals = table.nums
-    if 2 * table.max_abs <= _INT32_MAX:
-        vals = vals.astype(np.int32)
-    masks = all_masks(m)
-    start, rows = 0, 1
-    while start < len(masks):
-        tail = masks[start:]
-        rows = max(1, min(rows, _SCAN_ELEMENTS // len(tail)))
-        block = tail[:rows, None]
-        # A block of two or more rows fits one call; only a single row
-        # longer than both _SCAN_ELEMENTS and _MIN_CHUNK is split.
-        width = len(tail) if rows > 1 else max(_SCAN_ELEMENTS, _MIN_CHUNK)
-        for lo in range(0, len(tail), width):
-            cols = tail[lo:lo + width]
-            lhs = vals[block | cols] + vals[block & cols]
-            rhs = vals[start:start + rows, None] + vals[start + lo:][:width]
-            viol = lhs > rhs
-            if viol.any():
-                row = int(np.argmax(viol.any(axis=1)))
-                s_mask = start + row
-                t_mask = start + lo + int(np.argmax(viol[row]))
+    r = min(m, (_SCAN_ELEMENTS.bit_length() - 1) // 2)
+    size = 1 << r
+    vals = table.nums.astype(np.min_scalar_type(2 * table.max_abs))
+    vals = vals.reshape(-1, size)
+    groups = np.arange(len(vals))
+    low = np.arange(size)
+    ors, ands = low[:, None] | low, low[:, None] & low
+    width = max(_SCAN_ELEMENTS, _MIN_CHUNK)
+    # Every call writes into these, so the scan allocates no array per
+    # call.  No call compares more than R * 2**m pairs.
+    most = min(width, size << m)
+    sums = np.empty((2, most), vals.dtype)
+    flags = np.empty(most, bool)
+
+    def first_violation(g, lo, hi, start):
+        """(h, viol) of the first call from group `start` on that finds a
+        violation in rows lo..hi-1 of group g, where viol[h' - h, a - lo, b]
+        flags the pair (g, a), (h', b); None if no call does."""
+        step = max(1, width // ((hi - lo) * size))
+        for h in range(start, len(groups), step):
+            hs = groups[h:h + step]
+            shape = (len(hs), hi - lo, size)
+            count = len(hs) * (hi - lo) * size
+            lhs = sums[0, :count].reshape(shape)
+            rhs = sums[1, :count].reshape(shape)
+            viol = flags[:count].reshape(shape)
+            # Every index is in range, so "clip" moves none; unlike the
+            # default "raise", it writes into `out` without a buffer.
+            vals[g | hs].take(ors[lo:hi], axis=1, out=lhs, mode="clip")
+            vals[g & hs].take(ands[lo:hi], axis=1, out=rhs, mode="clip")
+            np.add(lhs, rhs, out=lhs)
+            np.add(vals[g, lo:hi, None], vals[h:h + step, None], out=rhs)
+            if np.greater(lhs, rhs, out=viol).any():
+                return h, viol
+        return None
+
+    bounds = [0] + [1 << i for i in range(r + 1)]
+    blocks = [(0, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    blocks += [(g, 0, size) for g in range(1, len(groups))]
+    for g, lo, hi in blocks:
+        found = first_violation(g, lo, hi, g)
+        if found is None:
+            continue
+        start = found[0]
+        for a in range(lo, hi):
+            found = first_violation(g, a, a + 1, start)
+            if found is not None:
+                h, viol = found
+                t_mask = h * size + int(np.argmax(viol.reshape(-1)))
                 return SubmodularReport(
                     holds=False,
-                    counterexample=(ItemSet.from_mask(s_mask),
+                    counterexample=(ItemSet.from_mask(g * size + a),
                                     ItemSet.from_mask(t_mask)))
-        start += rows
-        rows *= 2
     return SubmodularReport(holds=True)
 
 

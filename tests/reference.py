@@ -96,9 +96,11 @@ def naive_submodular_counterexample(valuation):
 
 
 def row_scan_submodular(valuation):
-    """The pairwise definition one row S at a time, one numpy call per row:
-    the scan that submodular_by_definition's doubling row blocks replaced,
-    kept unchanged as their reference."""
+    """The pairwise definition one row S at a time, one numpy call per row,
+    on the table's own dtype with flat mask arithmetic.  It is the
+    reference of submodular_by_definition's scan, which compares blocks of
+    rows of one low-bit group with whole groups on the narrowest unsigned
+    dtype, and which must return this function's report on every table."""
     m = valuation.num_items
     _guard_items(m, "check_submodular")
     table = value_table(valuation)

@@ -144,6 +144,27 @@ class TestValidate:
         assert report["result"]["bidders"][0]["monotone"] is True
         assert report["result"]["bidders"][0]["submodular"] is True
 
+    def test_shared_bidders_are_checked_once(self, capsys, monkeypatch,
+                                             tmp_path):
+        inst = tmp_path / "shared.json"
+        code, _ = run_cli(capsys, "gen", "multipeak", "--m", "8", "--s", "4",
+                          "--k", "2", "--eps", "1/2", "--n", "3", "--seed",
+                          "3", "--out", str(inst))
+        assert code == 0
+        calls = []
+
+        def spy(v):
+            calls.append(v)
+            return valuations.check_submodular(v)
+
+        monkeypatch.setattr(cli, "check_submodular", spy)
+        code, report = run_json(capsys, "validate", str(inst))
+        assert code == 0
+        assert len(calls) == 1
+        bidders = report["result"]["bidders"]
+        assert [b.pop("bidder") for b in bidders] == [0, 1, 2]
+        assert bidders[0] == bidders[1] == bidders[2]
+
     def test_malformed_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"m": "eight"}')

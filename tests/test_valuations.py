@@ -396,6 +396,114 @@ class TestScanDtypeBoundary:
             assert expected.counterexample[0].mask > 1 << (m - 1)
 
 
+def _planted(m, pairs=(), base=()):
+    """v(T) = 3m |T| plus w(x, y) for each pair of items x < y in T, which
+    is nonnegative for |T| <= m.  Then v(S|T) + v(S&T) - v(S) - v(T) is the
+    sum of w(x, y) over x in S - T and y in T - S.  w is -3, so the table
+    is submodular, except at the given pairs, each of two items outside
+    base.  A nonempty base sets their w to -1 and raises v(base) by 2:
+    every difference then reads at most -1 but those of (base + x,
+    base + y) and their mirrors, which read +1.  An empty base sets the w
+    of its one pair (x, y) to +1: the differences above 0 are then those
+    of (C + x, C + y) and their mirrors, for each set C without x and y.
+    Either way the first violating pair is the first (base + x, base + y)
+    with x < y, in (S, T) order."""
+    weight = -1 if base else 1
+    table = []
+    for mask in range(1 << m):
+        items = ItemSet.from_mask(mask).items()
+        table.append(3 * m * len(items) + sum(
+            weight if (x, y) in pairs else -3
+            for i, x in enumerate(items) for y in items[i + 1:]))
+    if base:
+        table[ItemSet(base).mask] += 2
+    return Explicit.from_scaled(m, table, 1)
+
+
+def _plants(m):
+    """(pairs, base) of planted violations whose first pair (S, T) sits at
+    the edges of the scan's blocks and calls.  Row 0, S = {}, never
+    violates: its pairs read v(T) + v({}) against v({}) + v(T)."""
+    plants = {
+        # S = {1}: row 1, the block [1, 2).
+        "row 1": ([(1, 2)], ()),
+        # S = {3}: row 4, the first row of the aligned block [4, 8).
+        "first row of a block": ([(3, 4)], ()),
+        # S = {1, 2, 3}: row 7, the last row of the block [4, 8).
+        "last row of a block": ([(1, 4)], (2, 3)),
+        # S = {m - 1}: at m = 9 and 10 (R = 128), row 0 of groups 1 and 2.
+        "row 0 of a group": ([(m - 1, m)], ()),
+        # S = {1 .. m - 1}: at m = 8 group 0's last row, at m = 9 and 10
+        # the last row of groups 1 and 3; below, the last row of the
+        # block [2**(m-2), 2**(m-1)).
+        "last row of a group": ([(1, m)], tuple(range(2, m))),
+        # (M - {2}, M - {1}): the last pair the scan compares.
+        "last pair": ([(1, 2)], tuple(range(3, m + 1))),
+    }
+    if m >= 6:
+        # Rows S = base + 1 < S' = base + 2 of one block, whose violations
+        # lie in two calls, T' = base + (m - 1) in an earlier one than
+        # T = base + m: at m = 10 (R = 128, two groups a call), groups 3
+        # and 5 for the rows of group 1; at m = 6 and R = 4 or 8, one
+        # group a call, groups 7 and 11 or 3 and 5.  S comes first.
+        plants["two rows, two calls"] = ([(1, m), (2, m - 1)], (3, m - 2))
+    return plants
+
+
+class TestScanGroups:
+    """Violations planted at the edges of the low-bit row blocks, groups
+    and calls, against the row scan, the naive definition and the pair the
+    construction puts first."""
+
+    @staticmethod
+    def _check(m, pairs=(), base=()):
+        v = _planted(m, pairs, base)
+        expected = row_scan_submodular(v)
+        if m <= 7:
+            assert expected.counterexample == naive_submodular_counterexample(v)
+        assert submodular_by_definition(v) == expected
+        first = min(((ItemSet(base).add(x), ItemSet(base).add(y))
+                     for x, y in pairs), key=lambda st: st[0].mask, default=None)
+        assert expected.counterexample == first
+
+    # At the default cap R = 2**7: m below, at and above it.
+    @pytest.mark.parametrize("m", [6, 7, 8, 9, 10])
+    def test_plants_at_the_default_cap(self, m):
+        self._check(m)
+        for pairs, base in _plants(m).values():
+            self._check(m, pairs, base)
+
+    # R = 1, 2, 4 and 8; calls of one group, of several, and chunks of one.
+    @pytest.mark.parametrize("cap", [1, 4, 16, 64])
+    @pytest.mark.parametrize("floor", [1, 4])
+    @pytest.mark.parametrize("m", [5, 6])
+    def test_plants_with_tiny_caps(self, monkeypatch, cap, floor, m):
+        monkeypatch.setattr(valuations, "_SCAN_ELEMENTS", cap)
+        monkeypatch.setattr(valuations, "_MIN_CHUNK", floor)
+        self._check(m)
+        for pairs, base in _plants(m).values():
+            self._check(m, pairs, base)
+
+
+class TestScanDtypeLadder:
+    """Each step of the scan's dtype ladder: 2 * max_abs just inside and
+    just past uint8, uint16, uint32 and uint64.  A scan one dtype too
+    narrow wraps 2 * max_abs past the step and flips verdicts, so every
+    table must still match the row scan."""
+
+    TOPS = [127, 128, (1 << 15) - 1, 1 << 15, (1 << 31) - 1, 1 << 31,
+            (1 << 63) - 1, 1 << 63, (1 << 64) + 3]
+
+    @pytest.mark.parametrize("top", TOPS)
+    @pytest.mark.parametrize("plant", ["none", "early", "late"])
+    def test_every_step(self, top, plant):
+        v = TestScanDtypeBoundary._table(8, top, plant)
+        assert value_table(v).max_abs == top
+        expected = row_scan_submodular(v)
+        assert submodular_by_definition(v) == expected
+        assert expected.holds == (plant == "none")
+
+
 class TestStandardClassesStructural:
     """Additive / unit-demand / budget-additive are monotone submodular."""
 
