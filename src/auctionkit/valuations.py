@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -43,23 +43,24 @@ LIMITS = {
 _INT64_GUARD = 1 << 60
 
 # The most subset pairs submodular_by_definition compares in one numpy
-# call; its square root, rounded down to a power of two, is the scan's
-# R = 2**r rows per group (128 from m = 7 on).  Set from timings of the scan (2-CPU
-# Xeon, numpy 2.4) on the 19 submodular corpus bidders at m=12..14, best of
-# 5 interleaved rounds, in all: on their uint16 tables 2.30 s at 2**14,
-# 1.98 s at 2**15, 1.88 s at 2**16 and 1.83 s at 2**17; times 4 (uint32)
-# 2.65, 2.37, 2.34 and 2.31 s; times 2**40 (uint64) 3.42, 3.13, 3.18 and
-# 3.30 s.  2**15 is the fastest on uint64 and within 8% of the fastest on
-# the narrower dtypes, with a quarter of 2**17's scratch arrays.
+# call.  Its square root, rounded down to a power of two, is the scan's
+# R = 2**r rows per group: 128 from m = 7 on.  Set from timings of the
+# scan (2-CPU Xeon, numpy 2.4) on the 19 submodular corpus bidders at
+# m=12..14, best of 5 interleaved rounds, in all: on their uint16 tables
+# 2.30 s at 2**14, 1.98 s at 2**15, 1.88 s at 2**16 and 1.83 s at 2**17;
+# times 4 (uint32) 2.65, 2.37, 2.34 and 2.31 s; times 2**40 (uint64) 3.42,
+# 3.13, 3.18 and 3.30 s.  2**15 is the fastest on uint64 and within 8% of
+# the fastest on the narrower dtypes, with a quarter of 2**17's scratch
+# arrays.
 _SCAN_ELEMENTS = 1 << 15
 
 # The floor of the scan's call width: a call compares up to
 # max(_SCAN_ELEMENTS, _MIN_CHUNK) pairs, so this binds only when
 # _SCAN_ELEMENTS is set below it.  Narrower calls cost mostly numpy's own
-# overhead: with _SCAN_ELEMENTS
-# = 16 (R = 4), the scan of an m=11 multi-peak table took 686 ns a pair in
-# calls of 16 pairs, 17 ns in calls of 2**10, 9.6 ns in calls of 2**12 and
-# 8.3 ns in calls of 2**15 (2-CPU Xeon, numpy 2.4).
+# overhead: with _SCAN_ELEMENTS = 16 (R = 4), the scan of an m=11
+# multi-peak table took 686 ns a pair in calls of 16 pairs, 17 ns in calls
+# of 2**10, 9.6 ns in calls of 2**12 and 8.3 ns in calls of 2**15 (2-CPU
+# Xeon, numpy 2.4).
 _MIN_CHUNK = 1 << 12
 
 
@@ -527,6 +528,17 @@ def check_monotone(valuation: Valuation) -> MonotoneReport:
                           counterexample=(ItemSet.from_mask(best[0]), best[1]))
 
 
+@cache
+def _low_bit_tables(r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The tables of a | b and of a & b at [a, b], for all r-bit masks a
+    and b; read-only and built once per r."""
+    low = np.arange(1 << r)
+    tables = low[:, None] | low, low[:, None] & low
+    for index in tables:
+        index.flags.writeable = False
+    return tables
+
+
 def submodular_by_definition(valuation: Valuation) -> SubmodularReport:
     """Scan all subset pairs for v(S|T) + v(S&T) <= v(S) + v(T).
 
@@ -540,16 +552,18 @@ def submodular_by_definition(valuation: Valuation) -> SubmodularReport:
     T = (h, b), S | T = (g | h, a | b) and S & T = (g & h, a & b).  So one
     numpy call compares a block of rows a of group g with every b of whole
     groups h >= g, as V[g | h][a | b] + V[g & h][a & b] > V[g, a] + V[h, b],
-    reading a | b and a & b from two R x R index tables built once per
-    scan.  A call compares at most max(_SCAN_ELEMENTS, _MIN_CHUNK) pairs,
-    and the calls of a block go in ascending h.  Group 0 goes in the
-    aligned row blocks [0, 1), [1, 2), [2, 4) ... [R/2, R), so row 0 is
-    decided first; every later group is one block.
+    reading a | b and a & b from the two R x R index tables of
+    _low_bit_tables.  A call compares at most
+    max(_SCAN_ELEMENTS, _MIN_CHUNK) pairs, and the calls of a block go in
+    ascending h.  Group 0 goes in the aligned row blocks [0, 1), [1, 2),
+    [2, 4) ... [R/2, R), so row 0 is decided first; every later group is
+    one block.
 
     The first block that shows a violation is scanned again one row at a
-    time, in ascending a, each row in ascending T from the call where the
-    block showed it; no earlier call of the block holds a violation in any
-    of its rows.  The first violation a row shows is the answer.  Every row
+    time (unless it is one row), in ascending a, each row in ascending T
+    from the call where the block showed it; no earlier call of the block
+    holds a violation in any of its rows.  The first violation a row shows
+    is the answer.  Every row
     before it has no violation at any T in its own group or after.  A row
     also compares the pairs (S, T) with T < S in its own group, and there
     T is one of those earlier rows, so (T, S) holds and by symmetry
@@ -572,8 +586,7 @@ def submodular_by_definition(valuation: Valuation) -> SubmodularReport:
     vals = table.nums.astype(np.min_scalar_type(2 * table.max_abs))
     vals = vals.reshape(-1, size)
     groups = np.arange(len(vals))
-    low = np.arange(size)
-    ors, ands = low[:, None] | low, low[:, None] & low
+    ors, ands = _low_bit_tables(r)
     width = max(_SCAN_ELEMENTS, _MIN_CHUNK)
     # Every call writes into these, so the scan allocates no array per
     # call.  No call compares more than R * 2**m pairs.
@@ -610,16 +623,18 @@ def submodular_by_definition(valuation: Valuation) -> SubmodularReport:
         found = first_violation(g, lo, hi, g)
         if found is None:
             continue
-        start = found[0]
-        for a in range(lo, hi):
-            found = first_violation(g, a, a + 1, start)
-            if found is not None:
-                h, viol = found
-                t_mask = h * size + int(np.argmax(viol.reshape(-1)))
-                return SubmodularReport(
-                    holds=False,
-                    counterexample=(ItemSet.from_mask(g * size + a),
-                                    ItemSet.from_mask(t_mask)))
+        start, a = found[0], lo
+        if hi - lo > 1:
+            for a in range(lo, hi):
+                found = first_violation(g, a, a + 1, start)
+                if found is not None:
+                    break
+        h, viol = found
+        t_mask = h * size + int(np.argmax(viol.reshape(-1)))
+        return SubmodularReport(
+            holds=False,
+            counterexample=(ItemSet.from_mask(g * size + a),
+                            ItemSet.from_mask(t_mask)))
     return SubmodularReport(holds=True)
 
 
