@@ -473,7 +473,7 @@ class TestScanGroups:
         for pairs, base in _plants(m).values():
             self._check(m, pairs, base)
 
-    # R = 1, 2, 4 and 8; calls of one group, of several, and chunks of one.
+    # R = 1, 2, 4 and 8; calls of one pair, of one group and of several.
     @pytest.mark.parametrize("cap", [1, 4, 16, 64])
     @pytest.mark.parametrize("floor", [1, 4])
     @pytest.mark.parametrize("m", [5, 6])
