@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
+from itertools import chain
 from typing import Optional, Union
 
 import numpy as np
@@ -531,11 +532,13 @@ def check_monotone(valuation: Valuation) -> MonotoneReport:
 @cache
 def _low_bit_tables(r: int) -> tuple[np.ndarray, np.ndarray]:
     """The tables of a | b and of a & b at [a, b], for all r-bit masks a
-    and b; built once per r.  Only submodular_by_definition reads them,
-    and never writes them.  They stay writeable because numpy's take
-    copies a read-only index array on every call: marked read-only, they
-    made the scan of the 33 corpus bidders at m=11..14 about 10% slower
-    (2.29–2.34 s against 2.10–2.13 s, best of 3; 2-CPU Xeon, numpy 2.4)."""
+    and b; built once per r.  Only submodular_by_definition reads them:
+    group 0 reads its rows of a | b, a block at a time, and every later
+    group reads the expansions that both tables build once per scan.  The
+    tables stay writeable because numpy's take copies a read-only index
+    array on every call: marked read-only, they made the scan of the 33
+    corpus bidders at m=11..14 about 10% slower (2.29–2.34 s against
+    2.10–2.13 s, best of 3; 2-CPU Xeon, numpy 2.4)."""
     low = np.arange(1 << r)
     return low[:, None] | low, low[:, None] & low
 
@@ -548,27 +551,35 @@ def submodular_by_definition(valuation: Valuation) -> SubmodularReport:
     S needs a T before it.
 
     Each mask splits into a group g, its high bits, and r low bits a, with
-    R = 2**r the largest power of two at most 2**m whose square is at most
-    _SCAN_ELEMENTS; the table is read as V[g, a].  For S = (g, a) and
-    T = (h, b), S | T = (g | h, a | b) and S & T = (g & h, a & b).  So one
-    numpy call compares a block of rows a of group g with every b of whole
-    groups h >= g, as V[g | h][a | b] + V[g & h][a & b] > V[g, a] + V[h, b],
-    reading a | b and a & b from the two R x R index tables of
-    _low_bit_tables.  A call compares at most
-    max(_SCAN_ELEMENTS, _MIN_CHUNK) pairs, and the calls of a block go in
-    ascending h.  Group 0 goes in the aligned row blocks [0, 1), [1, 2),
-    [2, 4) ... [R/2, R), so row 0 is decided first; every later group is
-    one block.
+    R = 2**r rows per group (see _SCAN_ELEMENTS for r); the table is read
+    as V[g, a].  For S = (g, a) and T = (h, b), S | T = (g | h, a | b) and
+    S & T = (g & h, a & b).  So one numpy call compares a block of rows a
+    of group g with every b of whole groups h >= g, as
+    V[g | h][a | b] + V[g & h][a & b] > V[g, a] + V[h, b].  A call compares
+    at most max(_SCAN_ELEMENTS, _MIN_CHUNK) pairs, and the calls of a
+    block go in ascending h.
+
+    Group 0 goes in the aligned row blocks [0, 1), [1, 2), [2, 4) ...
+    [R/2, R), so row 0 is decided first.  There g | h = h and g & h = 0,
+    so a call gathers V[h][a | b] through the R x R table of low-bit
+    a | b from _low_bit_tables, and V[0][a & b] is one block for every h.
+    Every later group is one block.  When group 1 starts, the scan builds
+    the expansions E_or[u, a, b] = V[u, a | b] and E_and[u, a, b] =
+    V[u, a & b] of every group u, 2**(m + r + 1) entries in all, and a
+    call then copies whole R x R rows E_or[g | h] and E_and[g & h] instead
+    of gathering each pair.  A scan that stops in group 0 never builds
+    them.
 
     The first block that shows a violation is scanned again one row at a
     time (unless it is one row), in ascending a, each row in ascending T
     from the call where the block showed it; no earlier call of the block
-    holds a violation in any of its rows.  The first violation a row shows
-    is the answer.  Every row
-    before it has no violation at any T in its own group or after.  A row
-    also compares the pairs (S, T) with T < S in its own group, and there
-    T is one of those earlier rows, so (T, S) holds and by symmetry
-    (S, T) does.  So the row's first violation is at some T >= S.
+    holds a violation in any of its rows.  A row of a later group reads
+    E_or[g | h, a] and E_and[g & h, a], one R-entry row each.  The first
+    violation a row shows is the answer.  Every row before it has no
+    violation at any T in its own group or after.  A row also compares the
+    pairs (S, T) with T < S in its own group, and there T is one of those
+    earlier rows, so (T, S) holds and by symmetry (S, T) does.  So the
+    row's first violation is at some T >= S.
 
     Every number the scan compares is a sum of two table entries, at most
     2 * max_abs, and no value table has a negative entry: Explicit and the
@@ -582,7 +593,7 @@ def submodular_by_definition(valuation: Valuation) -> SubmodularReport:
     m = valuation.num_items
     _guard_items(m, "check_submodular")
     table = value_table(valuation)
-    r = min(m, (_SCAN_ELEMENTS.bit_length() - 1) // 2)
+    r = min(m, (_SCAN_ELEMENTS.bit_length() - 1) // 2, max(4, 18 - m))
     size = 1 << r
     vals = table.nums.astype(np.min_scalar_type(2 * table.max_abs))
     vals = vals.reshape(-1, size)
@@ -594,33 +605,56 @@ def submodular_by_definition(valuation: Valuation) -> SubmodularReport:
     most = min(width, size << m)
     sums = np.empty((2, most), vals.dtype)
     flags = np.empty(most, bool)
+    expansions = None
 
     def first_violation(g, lo, hi, start):
         """(h, viol) of the first call from group `start` on that finds a
         violation in rows lo..hi-1 of group g, where viol[h' - h, a - lo, b]
         flags the pair (g, a), (h', b); None if no call does."""
-        step = max(1, width // ((hi - lo) * size))
+        rows = hi - lo
+        step = max(1, width // (rows * size))
+        if g == 0:
+            zero_ands = vals[0].take(ands[lo:hi])
+        else:
+            # A later group's block is all R rows or one row a = lo.  Read
+            # as rows of rows * R entries, E[u, lo:hi] is row u * per + lo.
+            per = size // rows
+            or_rows, and_rows = (e.reshape(-1, rows * size)
+                                 for e in expansions)
         for h in range(start, len(groups), step):
             hs = groups[h:h + step]
-            shape = (len(hs), hi - lo, size)
-            count = len(hs) * (hi - lo) * size
+            shape = (len(hs), rows, size)
+            count = len(hs) * rows * size
             lhs = sums[0, :count].reshape(shape)
             rhs = sums[1, :count].reshape(shape)
             viol = flags[:count].reshape(shape)
             # Every index is in range, so "clip" moves none; unlike the
             # default "raise", it writes into `out` without a buffer.
-            vals[g | hs].take(ors[lo:hi], axis=1, out=lhs, mode="clip")
-            vals[g & hs].take(ands[lo:hi], axis=1, out=rhs, mode="clip")
-            np.add(lhs, rhs, out=lhs)
+            if g == 0:
+                vals[h:h + step].take(ors[lo:hi], axis=1, out=lhs, mode="clip")
+                np.add(lhs, zero_ands, out=lhs)
+            else:
+                at_or, at_and = g | hs, g & hs
+                if per > 1:
+                    at_or, at_and = at_or * per + lo, at_and * per + lo
+                flat = (len(hs), rows * size)
+                or_rows.take(at_or, axis=0, out=lhs.reshape(flat), mode="clip")
+                and_rows.take(at_and, axis=0, out=rhs.reshape(flat),
+                              mode="clip")
+                np.add(lhs, rhs, out=lhs)
             np.add(vals[g, lo:hi, None], vals[h:h + step, None], out=rhs)
             if np.greater(lhs, rhs, out=viol).any():
                 return h, viol
         return None
 
     bounds = [0] + [1 << i for i in range(r + 1)]
-    blocks = [(0, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    blocks += [(g, 0, size) for g in range(1, len(groups))]
+    blocks = chain(((0, lo, hi) for lo, hi in zip(bounds, bounds[1:])),
+                   ((g, 0, size) for g in range(1, len(groups))))
     for g, lo, hi in blocks:
+        if g == 1:
+            # take, not vals[:, ors]: that array is not C-contiguous, and
+            # take along axis 0 copies a source that is not, on every call.
+            expansions = [vals.take(low, axis=1) for low in (ors, ands)]
         found = first_violation(g, lo, hi, g)
         if found is None:
             continue
