@@ -44,23 +44,31 @@ LIMITS = {
 _INT64_GUARD = 1 << 60
 
 # The most subset pairs submodular_by_definition compares in one numpy
-# call.  Its square root, rounded down to a power of two, is the scan's
-# R = 2**r rows per group: 128 from m = 7 on.  Set from timings of the
-# scan (2-CPU Xeon, numpy 2.4) on the 19 submodular corpus bidders at
-# m=12..14, best of 5 interleaved rounds, in all: on their uint16 tables
-# 2.30 s at 2**14, 1.98 s at 2**15, 1.88 s at 2**16 and 1.83 s at 2**17;
-# times 4 (uint32) 2.65, 2.37, 2.34 and 2.31 s; times 2**40 (uint64) 3.42,
-# 3.13, 3.18 and 3.30 s.  2**15 is the fastest on uint64 and within 8% of
-# the fastest on the narrower dtypes, with a quarter of 2**17's scratch
-# arrays.
+# call.  Its square root, rounded down to a power of two, caps the scan's
+# R = 2**r rows per group: r <= 7 here, and a test that lowers this
+# constant shrinks R with it.  Below that cap r also keeps the scan's two
+# expansions, 2**(m + r + 1) entries, at 2**19 entries (1 MiB of uint16)
+# up to m = 14: r = min(m, 7, max(4, 18 - m)), so r = m up to m = 7, 7 up
+# to m = 11, 6 at m = 12, 5 at m = 13 and 4 from m = 14 on.  A larger r is
+# faster and holds more; one uint16 budget-additive table scanned in, at
+# r = 4, 5, 6, 7: m=12 11, 9, 8, 9 ms; m=13 45, 36, 27, 29 ms; m=14 0.16,
+# 0.12, 0.11, 0.10 s; at r = 3, 4, 5: m=15 1.10, 0.63, 0.48 s and m=16
+# 3.7, 2.4, 1.8 s.
+# The call width, on the 19 submodular corpus bidders at m=12..14, best of
+# 3 interleaved rounds, in all: on their uint16 tables 1.54 s at 2**14,
+# 1.19 s at 2**15, 1.07 s at 2**16 and 0.96 s at 2**17; times 4 (uint32)
+# 1.93, 1.69, 1.50 and 1.48 s; times 2**40 (uint64) 2.55, 2.44, 2.36 and
+# 2.79 s.  2**15 holds a quarter of 2**17's scratch arrays and keeps r <= 7
+# at m <= 10 (2**17 would give r = 8 there).  All timings on a 2-CPU Xeon,
+# numpy 2.4.
 _SCAN_ELEMENTS = 1 << 15
 
 # The floor of the scan's call width: a call compares up to
 # max(_SCAN_ELEMENTS, _MIN_CHUNK) pairs, so this binds only when
 # _SCAN_ELEMENTS is set below it.  Narrower calls cost mostly numpy's own
 # overhead: with _SCAN_ELEMENTS = 16 (R = 4), the scan of an m=11
-# multi-peak table took 686 ns a pair in calls of 16 pairs, 17 ns in calls
-# of 2**10, 9.6 ns in calls of 2**12 and 8.3 ns in calls of 2**15 (2-CPU
+# multi-peak table took 271 ns a pair in calls of 16 pairs, 10 ns in calls
+# of 2**10, 4.7 ns in calls of 2**12 and 4.3 ns in calls of 2**15 (2-CPU
 # Xeon, numpy 2.4).
 _MIN_CHUNK = 1 << 12
 
@@ -536,9 +544,7 @@ def _low_bit_tables(r: int) -> tuple[np.ndarray, np.ndarray]:
     group 0 reads its rows of a | b, a block at a time, and every later
     group reads the expansions that both tables build once per scan.  The
     tables stay writeable because numpy's take copies a read-only index
-    array on every call: marked read-only, they made the scan of the 33
-    corpus bidders at m=11..14 about 10% slower (2.29–2.34 s against
-    2.10–2.13 s, best of 3; 2-CPU Xeon, numpy 2.4)."""
+    array on every call, and every call in group 0 indexes with a | b."""
     low = np.arange(1 << r)
     return low[:, None] | low, low[:, None] & low
 
@@ -563,12 +569,15 @@ def submodular_by_definition(valuation: Valuation) -> SubmodularReport:
     [R/2, R), so row 0 is decided first.  There g | h = h and g & h = 0,
     so a call gathers V[h][a | b] through the R x R table of low-bit
     a | b from _low_bit_tables, and V[0][a & b] is one block for every h.
-    Every later group is one block.  When group 1 starts, the scan builds
-    the expansions E_or[u, a, b] = V[u, a | b] and E_and[u, a, b] =
-    V[u, a & b] of every group u, 2**(m + r + 1) entries in all, and a
-    call then copies whole R x R rows E_or[g | h] and E_and[g & h] instead
-    of gathering each pair.  A scan that stops in group 0 never builds
-    them.
+    Every later group is one block, and its calls copy whole R x R rows
+    E_or[g | h] and E_and[g & h] of the expansions E_or[u, a, b] =
+    V[u, a | b] and E_and[u, a, b] = V[u, a & b] instead of gathering each
+    pair.  The scan allocates them, 2**(m + r + 1) entries in all, when
+    group 1 starts, and fills each for a prefix of groups u only as far as
+    a call reads it: E_and up to group g, E_or up to the power of two past
+    the call's last h.  So a scan that stops in group 0 allocates neither,
+    one that stops early in a later group fills only a part, and a full
+    scan fills every group once.
 
     The first block that shows a violation is scanned again one row at a
     time (unless it is one row), in ascending a, each row in ascending T
@@ -605,7 +614,22 @@ def submodular_by_definition(valuation: Valuation) -> SubmodularReport:
     most = min(width, size << m)
     sums = np.empty((2, most), vals.dtype)
     flags = np.empty(most, bool)
+    # E_or and E_and of the docstring, as expansions[0] and expansions[1],
+    # and how many groups of each are filled.
     expansions = None
+    filled = [0, 0]
+
+    def fill(which, upto):
+        """Fill groups filled[which]..upto-1 of expansion `which`."""
+        done = filled[which]
+        if upto > done:
+            # Filled in place, so the expansions stay C-contiguous: take
+            # along axis 0 copies a source that is not on every call, and
+            # vals[:, ors] is not.
+            vals[done:upto].take((ors, ands)[which], axis=1,
+                                 out=expansions[which, done:upto],
+                                 mode="clip")
+            filled[which] = upto
 
     def first_violation(g, lo, hi, start):
         """(h, viol) of the first call from group `start` on that finds a
@@ -618,6 +642,8 @@ def submodular_by_definition(valuation: Valuation) -> SubmodularReport:
         else:
             # A later group's block is all R rows or one row a = lo.  Read
             # as rows of rows * R entries, E[u, lo:hi] is row u * per + lo.
+            # Every g & h is at most g.
+            fill(1, g + 1)
             per = size // rows
             or_rows, and_rows = (e.reshape(-1, rows * size)
                                  for e in expansions)
@@ -634,6 +660,9 @@ def submodular_by_definition(valuation: Valuation) -> SubmodularReport:
                 vals[h:h + step].take(ors[lo:hi], axis=1, out=lhs, mode="clip")
                 np.add(lhs, zero_ands, out=lhs)
             else:
+                # h >= g, so every g | h is below the power of two past
+                # the last h.
+                fill(0, 1 << (h + len(hs) - 1).bit_length())
                 at_or, at_and = g | hs, g & hs
                 if per > 1:
                     at_or, at_and = at_or * per + lo, at_and * per + lo
@@ -652,9 +681,7 @@ def submodular_by_definition(valuation: Valuation) -> SubmodularReport:
                    ((g, 0, size) for g in range(1, len(groups))))
     for g, lo, hi in blocks:
         if g == 1:
-            # take, not vals[:, ors]: that array is not C-contiguous, and
-            # take along axis 0 copies a source that is not, on every call.
-            expansions = [vals.take(low, axis=1) for low in (ors, ands)]
+            expansions = np.empty((2, len(vals), size, size), vals.dtype)
         found = first_violation(g, lo, hi, g)
         if found is None:
             continue
