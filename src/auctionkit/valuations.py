@@ -573,11 +573,13 @@ def submodular_by_definition(valuation: Valuation) -> SubmodularReport:
     E_or[g | h] and E_and[g & h] of the expansions E_or[u, a, b] =
     V[u, a | b] and E_and[u, a, b] = V[u, a & b] instead of gathering each
     pair.  The scan allocates them, 2**(m + r + 1) entries in all, when
-    group 1 starts, and fills each for a prefix of groups u only as far as
-    a call reads it: E_and up to group g, E_or up to the power of two past
-    the call's last h.  So a scan that stops in group 0 allocates neither,
-    one that stops early in a later group fills only a part, and a full
-    scan fills every group once.
+    group 1 starts, and fills each for a prefix of groups u about as far
+    as a call reads it: E_and up to the power of two past g, E_or up to
+    the power of two past the call's last h.  Powers of two keep the fills
+    few: filling E_and one group at a time made a full scan of the m=12
+    corpus bidders about 4% slower.  So a scan that stops in group 0
+    allocates neither, one that stops early in a later group fills only a
+    part, and a full scan fills every group once.
 
     The first block that shows a violation is scanned again one row at a
     time (unless it is one row), in ascending a, each row in ascending T
@@ -642,8 +644,8 @@ def submodular_by_definition(valuation: Valuation) -> SubmodularReport:
         else:
             # A later group's block is all R rows or one row a = lo.  Read
             # as rows of rows * R entries, E[u, lo:hi] is row u * per + lo.
-            # Every g & h is at most g.
-            fill(1, g + 1)
+            # Every g & h is at most g, so below the power of two past g.
+            fill(1, 1 << g.bit_length())
             per = size // rows
             or_rows, and_rows = (e.reshape(-1, rows * size)
                                  for e in expansions)
