@@ -98,9 +98,12 @@ def naive_submodular_counterexample(valuation):
 def row_scan_submodular(valuation):
     """The pairwise definition one row S at a time, one numpy call per row,
     on the table's own dtype with flat mask arithmetic.  It is the
-    reference of submodular_by_definition's scan, which compares blocks of
-    rows of one low-bit group with whole groups on the narrowest unsigned
-    dtype, and which must return this function's report on every table."""
+    reference of submodular_by_definition's scan, which must return this
+    function's report on every table.  That scan compares blocks of rows
+    of one low-bit group with whole groups, on the narrowest unsigned
+    dtype: group 0 gathered from the table itself, every later group by
+    whole rows of expansions of the table through low-bit | and &, filled
+    once per scan, from group 1 on, about as far as the scan reads them."""
     m = valuation.num_items
     _guard_items(m, "check_submodular")
     table = value_table(valuation)

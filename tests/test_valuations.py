@@ -1,6 +1,7 @@
 """Valuation formulas, closeness, and the exhaustive structural validators."""
 
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -355,10 +356,11 @@ class TestScanColumnChunks:
 
 
 class TestScanDtypeBoundary:
-    """Tables whose largest entry sits at the edge of each scan dtype: twice
-    it 2**31 - 2 (int32 holds every sum), 2**31 (int32 would wrap) and past
-    2**64 (object dtype).  Each top gets a submodular table, one with an
-    early violation and one with a violation planted in the top row."""
+    """Tables whose largest entry, top, gives 2 * top = 2**31 - 2 and
+    2**31, both of which the scan holds in uint32, and past 2**64, where
+    it runs on Python ints (object dtype).  Each top gets a submodular
+    table, one with an early violation and one with a violation planted in
+    the top row.  TestScanDtypeLadder checks the edges of every dtype."""
 
     TOPS = [(1 << 30) - 1, 1 << 30, (1 << 64) + 3]
 
@@ -502,6 +504,108 @@ class TestScanDtypeLadder:
         expected = row_scan_submodular(v)
         assert submodular_by_definition(v) == expected
         assert expected.holds == (plant == "none")
+
+
+# The scan's r, R = 2**r rows per group, where the rule that keeps its
+# expansions at 2**(m + r + 1) entries changes: r = min(m, 7,
+# max(4, 18 - m)).  Below m = 7, r = m and every set is in group 0.
+ROW_BITS = {5: 5, 6: 6, 10: 7, 11: 7, 12: 6, 13: 5, 14: 4}
+
+
+class TestScanExpansions:
+    """Every group after group 0 reads the per-group expansions of low-bit
+    | and &.  Violations planted in the first group that reads them, in
+    the last group and in the per-row rescan, at every m where r changes,
+    against the row scan and the pair the construction puts first."""
+
+    @staticmethod
+    def _plants(m):
+        r = ROW_BITS[m]
+        plants = {
+            # S = {1}: group 0, where no expansion is built.
+            "group 0": ([(1, 2)], ()),
+            # S = {r + 1, ..., m} + 1: row 1 of the last group.
+            "last group": ([(1, 2)], tuple(range(r + 1, m + 1))),
+            # (M - {2}, M - {1}): the last pair the scan compares.
+            "last pair": ([(1, 2)], tuple(range(3, m + 1))),
+        }
+        if m >= r + 2:
+            # S = {r + 1}, T = {r + 2}: row 0 of group 1, the first call
+            # on the expansions, with T in group 2.
+            plants["group 1, row 0"] = ([(r + 1, r + 2)], ())
+            # S = {1, r + 1}: row 1 of group 1, found by the rescan after
+            # row 0 shows none.
+            plants["group 1, row 1"] = ([(1, m)], (r + 1,))
+        return plants
+
+    @pytest.mark.parametrize("m", sorted(ROW_BITS))
+    def test_plants(self, m):
+        for pairs, base in self._plants(m).values():
+            TestScanGroups._check(m, pairs, base)
+
+    @pytest.mark.parametrize("m", [10, 11])
+    def test_plants_on_object_dtype(self, m):
+        # Every value times 2**64: the scan, and so the expansions, run on
+        # Python ints, and every verdict and pair stays the same.
+        for pairs, base in self._plants(m).values():
+            v = _planted(m, pairs, base)
+            kept = value_table(v)
+            big = Explicit.from_scaled(m, [n << 64 for n in kept.nums.tolist()],
+                                       kept.denom)
+            assert value_table(big).nums.dtype == object
+            expected = row_scan_submodular(v)
+            assert not expected.holds
+            assert submodular_by_definition(big) == expected
+            assert row_scan_submodular(big) == expected
+
+
+class TestScanMemory:
+    """The expansions hold 2**(m + r + 1) entries of the scan's dtype.  A
+    scan that stops in group 0 allocates neither of them; a full scan holds
+    both, and beyond them only its scratch buffers, its copy of the table
+    and its group numbers."""
+
+    @staticmethod
+    def _table(m):
+        """A budget-additive table on uint16: 2 * max_abs is at least 2**8
+        and below 2**16."""
+        rng = random.Random(m)
+        v = BudgetAdditive(tuple(F(rng.randint(100, 999)) for _ in range(m)),
+                           F(20_000))
+        assert np.min_scalar_type(2 * value_table(v).max_abs) == np.uint16
+        return v
+
+    @staticmethod
+    def _peak(v):
+        """The most memory that one scan of v holds at once, in bytes."""
+        submodular_by_definition(v)  # the low-bit tables are cached per r
+        tracemalloc.start()
+        try:
+            report = submodular_by_definition(v)
+            return report, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_a_scan_that_stops_in_group_0_builds_no_expansion(self):
+        m = 14
+        nums = value_table(self._table(m)).nums.tolist()
+        nums[0b11] += 1  # ({1}, {2}) violates
+        report, peak = self._peak(Explicit.from_scaled(m, nums, 1))
+        assert report.counterexample == (ItemSet([1]), ItemSet([2]))
+        assert peak < (1 << (m + ROW_BITS[m])) * 2
+
+    @pytest.mark.parametrize("m", [11, 12, 13, 14])
+    def test_a_full_scan_holds_both_expansions_and_no_more(self, m):
+        v = self._table(m)
+        report, peak = self._peak(v)
+        assert report.holds
+        expansions = (1 << (m + ROW_BITS[m] + 1)) * 2
+        width = max(valuations._SCAN_ELEMENTS, valuations._MIN_CHUNK)
+        scratch = width * (2 * 2 + 1)
+        table = (1 << m) * 2
+        groups = (1 << (m - ROW_BITS[m])) * 8
+        assert expansions <= peak <= (expansions + scratch + table + groups
+                                      + (64 << 10))
 
 
 class TestStandardClassesStructural:
