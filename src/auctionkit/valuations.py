@@ -30,6 +30,10 @@ LIMITS = {
     "value_table": 20,
     "an explicit table": 20,
     "check_monotone": 20,
+    # The pairwise scan's own peak at m=20 (tracemalloc, table built
+    # beforehand), nearly all of it the two expansions, 32 times the
+    # scan's copy of the table: 67 MiB on uint16, 265 MiB on uint64 and
+    # 268 MiB on Python ints.  See _SCAN_ELEMENTS.
     "check_submodular": 20,
     "brute-force demand": 20,
     "demand-set enumeration": 16,
@@ -53,7 +57,10 @@ _INT64_GUARD = 1 << 60
 # faster and holds more; one uint16 budget-additive table scanned in, at
 # r = 4, 5, 6, 7: m=12 11, 9, 8, 9 ms; m=13 45, 36, 27, 29 ms; m=14 0.16,
 # 0.12, 0.11, 0.10 s; at r = 3, 4, 5: m=15 1.10, 0.63, 0.48 s and m=16
-# 3.7, 2.4, 1.8 s.
+# 3.7, 2.4, 1.8 s.  The 1 MiB budget is held below what memory alone
+# allows: r = 5 from m = 14 on ran mp_corpus about 22% faster, but the
+# benchmark harness's own records for its extra passes pushed peak RSS
+# past its bound.  Revisit the rule when that is fixed (ROADMAP item 1).
 # The call width, on the 19 submodular corpus bidders at m=12..14, best of
 # 3 interleaved rounds, in all: on their uint16 tables 1.54 s at 2**14,
 # 1.19 s at 2**15, 1.07 s at 2**16 and 0.96 s at 2**17; times 4 (uint32)
@@ -572,14 +579,8 @@ def submodular_by_definition(valuation: Valuation) -> SubmodularReport:
     Every later group is one block, and its calls copy whole R x R rows
     E_or[g | h] and E_and[g & h] of the expansions E_or[u, a, b] =
     V[u, a | b] and E_and[u, a, b] = V[u, a & b] instead of gathering each
-    pair.  The scan allocates them, 2**(m + r + 1) entries in all, when
-    group 1 starts, and fills each for a prefix of groups u about as far
-    as a call reads it: E_and up to the power of two past g, E_or up to
-    the power of two past the call's last h.  Powers of two keep the fills
-    few: filling E_and one group at a time made a full scan of the m=12
-    corpus bidders about 4% slower.  So a scan that stops in group 0
-    allocates neither, one that stops early in a later group fills only a
-    part, and a full scan fills every group once.
+    pair.  The scan builds them, 2**(m + r + 1) entries in all, when
+    group 1 starts, so a scan that stops in group 0 builds neither.
 
     The first block that shows a violation is scanned again one row at a
     time (unless it is one row), in ascending a, each row in ascending T
@@ -616,22 +617,8 @@ def submodular_by_definition(valuation: Valuation) -> SubmodularReport:
     most = min(width, size << m)
     sums = np.empty((2, most), vals.dtype)
     flags = np.empty(most, bool)
-    # E_or and E_and of the docstring, as expansions[0] and expansions[1],
-    # and how many groups of each are filled.
+    # E_or and E_and of the docstring, as expansions[0] and expansions[1].
     expansions = None
-    filled = [0, 0]
-
-    def fill(which, upto):
-        """Fill groups filled[which]..upto-1 of expansion `which`."""
-        done = filled[which]
-        if upto > done:
-            # Filled in place, so the expansions stay C-contiguous: take
-            # along axis 0 copies a source that is not on every call, and
-            # vals[:, ors] is not.
-            vals[done:upto].take((ors, ands)[which], axis=1,
-                                 out=expansions[which, done:upto],
-                                 mode="clip")
-            filled[which] = upto
 
     def first_violation(g, lo, hi, start):
         """(h, viol) of the first call from group `start` on that finds a
@@ -644,8 +631,6 @@ def submodular_by_definition(valuation: Valuation) -> SubmodularReport:
         else:
             # A later group's block is all R rows or one row a = lo.  Read
             # as rows of rows * R entries, E[u, lo:hi] is row u * per + lo.
-            # Every g & h is at most g, so below the power of two past g.
-            fill(1, 1 << g.bit_length())
             per = size // rows
             or_rows, and_rows = (e.reshape(-1, rows * size)
                                  for e in expansions)
@@ -662,9 +647,6 @@ def submodular_by_definition(valuation: Valuation) -> SubmodularReport:
                 vals[h:h + step].take(ors[lo:hi], axis=1, out=lhs, mode="clip")
                 np.add(lhs, zero_ands, out=lhs)
             else:
-                # h >= g, so every g | h is below the power of two past
-                # the last h.
-                fill(0, 1 << (h + len(hs) - 1).bit_length())
                 at_or, at_and = g | hs, g & hs
                 if per > 1:
                     at_or, at_and = at_or * per + lo, at_and * per + lo
@@ -683,7 +665,12 @@ def submodular_by_definition(valuation: Valuation) -> SubmodularReport:
                    ((g, 0, size) for g in range(1, len(groups))))
     for g, lo, hi in blocks:
         if g == 1:
+            # Filled in place, so the expansions are C-contiguous: take
+            # along axis 0 copies a source that is not on every call, and
+            # vals[:, ors] is not.
             expansions = np.empty((2, len(vals), size, size), vals.dtype)
+            for out, index in zip(expansions, (ors, ands)):
+                vals.take(index, axis=1, out=out, mode="clip")
         found = first_violation(g, lo, hi, g)
         if found is None:
             continue

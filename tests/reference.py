@@ -102,8 +102,8 @@ def row_scan_submodular(valuation):
     function's report on every table.  That scan compares blocks of rows
     of one low-bit group with whole groups, on the narrowest unsigned
     dtype: group 0 gathered from the table itself, every later group by
-    whole rows of expansions of the table through low-bit | and &, filled
-    once per scan, from group 1 on, about as far as the scan reads them."""
+    whole rows of expansions of the table through low-bit | and &, built
+    once per scan, when group 1 starts."""
     m = valuation.num_items
     _guard_items(m, "check_submodular")
     table = value_table(valuation)
