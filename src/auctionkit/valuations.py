@@ -556,6 +556,27 @@ def _low_bit_tables(r: int) -> tuple[np.ndarray, np.ndarray]:
     return low[:, None] | low, low[:, None] & low
 
 
+def _expand(vals: np.ndarray, index: np.ndarray, out: np.ndarray,
+            buffer: np.ndarray) -> None:
+    """out[a, u, b] = vals[u, index[a, b]], each row a of 2**m entries.  A
+    row of at least _MIN_CHUNK entries is one take, straight into out[a].
+    Shorter rows would cost mostly numpy's overhead per call, so they go
+    in bands of as many rows as the flat buffer holds, at least two: a take
+    along vals' axis 1 yields [u, a, b], and the band is copied into out
+    transposed."""
+    groups, size = vals.shape
+    if vals.size >= _MIN_CHUNK:
+        for a in range(size):
+            vals.take(index[a], axis=1, out=out[a], mode="clip")
+        return
+    band = len(buffer) // vals.size
+    for a in range(0, size, band):
+        rows = index[a:a + band]
+        block = buffer[:rows.size * groups].reshape(groups, len(rows), size)
+        vals.take(rows, axis=1, out=block, mode="clip")
+        out[a:a + band] = block.transpose(1, 0, 2)
+
+
 def submodular_by_definition(valuation: Valuation) -> SubmodularReport:
     """Scan all subset pairs for v(S|T) + v(S&T) <= v(S) + v(T).
 
@@ -622,21 +643,19 @@ def submodular_by_definition(valuation: Valuation) -> SubmodularReport:
 
     def first_violation(g, lo, hi, start):
         """(h, viol) of the first call from group `start` on that finds a
-        violation in rows lo..hi-1 of group g, where viol[h' - h, a - lo, b]
-        flags the pair (g, a), (h', b); None if no call does."""
+        violation in rows lo..hi-1 of group g; None if no call does.
+        viol[h' - h, a - lo, b] in group 0 and viol[a - lo, h' - h, b] in
+        later groups flags the pair (g, a), (h', b), so one row's viol
+        flattens in (h', b) order either way."""
         rows = hi - lo
         step = max(1, width // (rows * size))
         if g == 0:
             zero_ands = vals[0].take(ands[lo:hi])
         else:
-            # A later group's block is all R rows or one row a = lo.  Read
-            # as rows of rows * R entries, E[u, lo:hi] is row u * per + lo.
-            per = size // rows
-            or_rows, and_rows = (e.reshape(-1, rows * size)
-                                 for e in expansions)
+            or_rows, and_rows = expansions[:, lo:hi]
         for h in range(start, len(groups), step):
             hs = groups[h:h + step]
-            shape = (len(hs), rows, size)
+            shape = (rows, len(hs), size) if g else (len(hs), rows, size)
             count = len(hs) * rows * size
             lhs = sums[0, :count].reshape(shape)
             rhs = sums[1, :count].reshape(shape)
@@ -646,31 +665,25 @@ def submodular_by_definition(valuation: Valuation) -> SubmodularReport:
             if g == 0:
                 vals[h:h + step].take(ors[lo:hi], axis=1, out=lhs, mode="clip")
                 np.add(lhs, zero_ands, out=lhs)
+                np.add(vals[0, lo:hi, None], vals[h:h + step, None], out=rhs)
             else:
-                at_or, at_and = g | hs, g & hs
-                if per > 1:
-                    at_or, at_and = at_or * per + lo, at_and * per + lo
-                flat = (len(hs), rows * size)
-                or_rows.take(at_or, axis=0, out=lhs.reshape(flat), mode="clip")
-                and_rows.take(at_and, axis=0, out=rhs.reshape(flat),
-                              mode="clip")
+                or_rows.take(g | hs, axis=1, out=lhs, mode="clip")
+                and_rows.take(g & hs, axis=1, out=rhs, mode="clip")
                 np.add(lhs, rhs, out=lhs)
-            np.add(vals[g, lo:hi, None], vals[h:h + step, None], out=rhs)
+                # One value of S against step * R contiguous values of T.
+                np.add(vals[g, lo:hi, None, None], vals[h:h + step], out=rhs)
             if np.greater(lhs, rhs, out=viol).any():
                 return h, viol
         return None
 
-    bounds = [0] + [1 << i for i in range(r + 1)]
+    bounds = [1 << i for i in range(r + 1)]
     blocks = chain(((0, lo, hi) for lo, hi in zip(bounds, bounds[1:])),
                    ((g, 0, size) for g in range(1, len(groups))))
     for g, lo, hi in blocks:
         if g == 1:
-            # Filled in place, so the expansions are C-contiguous: take
-            # along axis 0 copies a source that is not on every call, and
-            # vals[:, ors] is not.
-            expansions = np.empty((2, len(vals), size, size), vals.dtype)
-            for out, index in zip(expansions, (ors, ands)):
-                vals.take(index, axis=1, out=out, mode="clip")
+            expansions = np.empty((2, size, len(vals), size), vals.dtype)
+            _expand(vals, ors, expansions[0], sums.reshape(-1))
+            _expand(vals, ands, expansions[1], sums.reshape(-1))
         found = first_violation(g, lo, hi, g)
         if found is None:
             continue
