@@ -53,16 +53,18 @@ _INT64_GUARD = 1 << 60
 # constant shrinks R with it.  Below that cap r also keeps the scan's two
 # expansions, 2**(m + r + 1) entries, at 2**19 entries (1 MiB of uint16)
 # up to m = 14: r = min(m, 7, max(4, 18 - m)), so r = m up to m = 7, 7 up
-# to m = 11, 6 at m = 12, 5 at m = 13 and 4 from m = 14 on.  A larger r is
-# faster and holds more; one uint16 budget-additive table scanned in, at
-# r = 4, 5, 6, 7: m=12 11, 9, 8, 9 ms; m=13 45, 36, 27, 29 ms; m=14 0.16,
-# 0.12, 0.11, 0.10 s; at r = 3, 4, 5: m=15 1.10, 0.63, 0.48 s and m=16
-# 3.7, 2.4, 1.8 s.  The 1 MiB budget is held below what memory alone
-# allows: r = 5 from m = 14 on ran mp_corpus about 22% faster, but the
-# benchmark harness's own records for its extra passes pushed peak RSS
-# past its bound.  Revisit the rule when that is fixed (ROADMAP item 1).
-# The call width, on the 19 submodular corpus bidders at m=12..14, best of
-# 3 interleaved rounds, in all: on their uint16 tables 1.54 s at 2**14,
+# to m = 11, 6 at m = 12, 5 at m = 13 and 4 from m = 14 on.  With the
+# expansions stored a-major, a larger r no longer buys speed past m = 13:
+# one uint16 budget-additive table scanned in, at r = 4, 5, 6, 7: m=12 8.2,
+# 9.5, 8.2, 9.2 ms; m=13 41, 32, 30, 33 ms; m=14 0.10, 0.12, 0.11, 0.12 s;
+# m=15 0.40, 0.47, 0.41, 0.52 s; m=16 1.6, 2.1, 1.8, 2.0 s.  So the
+# smallest r costs little.  (With the earlier group-major expansions,
+# r = 5 from m = 14 on ran mp_corpus about 22% faster than r = 4, which
+# the benchmark harness's records for its extra passes made too costly in
+# peak RSS; see ROADMAP items 1 and 12.)
+# The call width, measured with the group-major expansions on the 19
+# submodular corpus bidders at m=12..14, best of 3 interleaved rounds, in
+# all: on their uint16 tables 1.54 s at 2**14,
 # 1.19 s at 2**15, 1.07 s at 2**16 and 0.96 s at 2**17; times 4 (uint32)
 # 1.93, 1.69, 1.50 and 1.48 s; times 2**40 (uint64) 2.55, 2.44, 2.36 and
 # 2.79 s.  2**15 holds a quarter of 2**17's scratch arrays and keeps r <= 7
@@ -76,7 +78,8 @@ _SCAN_ELEMENTS = 1 << 15
 # overhead: with _SCAN_ELEMENTS = 16 (R = 4), the scan of an m=11
 # multi-peak table took 271 ns a pair in calls of 16 pairs, 10 ns in calls
 # of 2**10, 4.7 ns in calls of 2**12 and 4.3 ns in calls of 2**15 (2-CPU
-# Xeon, numpy 2.4).
+# Xeon, numpy 2.4).  _expand builds rows of at least this many entries one
+# call each, and shorter ones in bands.
 _MIN_CHUNK = 1 << 12
 
 
@@ -549,9 +552,10 @@ def _low_bit_tables(r: int) -> tuple[np.ndarray, np.ndarray]:
     """The tables of a | b and of a & b at [a, b], for all r-bit masks a
     and b; built once per r.  Only submodular_by_definition reads them:
     group 0 reads its rows of a | b, a block at a time, and every later
-    group reads the expansions that both tables build once per scan.  The
-    tables stay writeable because numpy's take copies a read-only index
-    array on every call, and every call in group 0 indexes with a | b."""
+    group reads the expansions that _expand builds from both once per
+    scan.  The tables stay writeable because numpy's take copies a
+    read-only index array on every call, and every call in group 0
+    indexes with a | b."""
     low = np.arange(1 << r)
     return low[:, None] | low, low[:, None] & low
 
@@ -593,26 +597,32 @@ def submodular_by_definition(valuation: Valuation) -> SubmodularReport:
     at most max(_SCAN_ELEMENTS, _MIN_CHUNK) pairs, and the calls of a
     block go in ascending h.
 
-    Group 0 goes in the aligned row blocks [0, 1), [1, 2), [2, 4) ...
-    [R/2, R), so row 0 is decided first.  There g | h = h and g & h = 0,
-    so a call gathers V[h][a | b] through the R x R table of low-bit
-    a | b from _low_bit_tables, and V[0][a & b] is one block for every h.
-    Every later group is one block, and its calls copy whole R x R rows
-    E_or[g | h] and E_and[g & h] of the expansions E_or[u, a, b] =
-    V[u, a | b] and E_and[u, a, b] = V[u, a & b] instead of gathering each
-    pair.  The scan builds them, 2**(m + r + 1) entries in all, when
-    group 1 starts, so a scan that stops in group 0 builds neither.
+    Row 0 of group 0 is S = {}, where S | T = T and S & T = {}, so it
+    never violates and is not scanned.  Group 0 goes in the aligned row
+    blocks [1, 2), [2, 4) ... [R/2, R).  There g | h = h and g & h = 0, so
+    a call gathers V[h][a | b] through the R x R table of low-bit a | b
+    from _low_bit_tables, and V[0][a & b] is one block for every h.
+    Every later group is one block, read through the expansions
+    E_or[a, u, b] = V[u, a | b] and E_and[a, u, b] = V[u, a & b], stored
+    a-major: its calls copy E_or[lo:hi, g | h] and E_and[lo:hi, g & h],
+    whole R-entry rows, in the layout (rows, groups, R) instead of
+    gathering each pair.  The right side V[g, a] + V[h, b] is then one
+    add of a value per row a to the step * R contiguous values of the
+    call's groups h.  The scan builds both expansions, 2**(m + r + 1)
+    entries in all, when group 1 starts (see _expand), so a scan that
+    stops in group 0 builds neither.
 
     The first block that shows a violation is scanned again one row at a
     time (unless it is one row), in ascending a, each row in ascending T
     from the call where the block showed it; no earlier call of the block
     holds a violation in any of its rows.  A row of a later group reads
-    E_or[g | h, a] and E_and[g & h, a], one R-entry row each.  The first
-    violation a row shows is the answer.  Every row before it has no
-    violation at any T in its own group or after.  A row also compares the
-    pairs (S, T) with T < S in its own group, and there T is one of those
-    earlier rows, so (T, S) holds and by symmetry (S, T) does.  So the
-    row's first violation is at some T >= S.
+    E_or[a, g | h] and E_and[a, g & h], one R-entry row each per group h.
+    A row's flags flatten in (h, b) order, so the first one is its first
+    T.  The first violation a row shows is the answer.  Every row before
+    it has no violation at any T in its own group or after.  A row also
+    compares the pairs (S, T) with T < S in its own group, and there T is
+    one of those earlier rows, so (T, S) holds and by symmetry (S, T)
+    does.  So the row's first violation is at some T >= S.
 
     Every number the scan compares is a sum of two table entries, at most
     2 * max_abs, and no value table has a negative entry: Explicit and the

@@ -102,8 +102,10 @@ def row_scan_submodular(valuation):
     function's report on every table.  That scan compares blocks of rows
     of one low-bit group with whole groups, on the narrowest unsigned
     dtype: group 0 gathered from the table itself, every later group by
-    whole rows of expansions of the table through low-bit | and &, built
-    once per scan, when group 1 starts."""
+    whole rows of expansions of the table through low-bit | and &, stored
+    a-major (low bits of S, group of T, low bits of T) and built once per
+    scan, when group 1 starts.  Here one row's flags run in ascending T,
+    as that scan's do in (group, low bits) order."""
     m = valuation.num_items
     _guard_items(m, "check_submodular")
     table = value_table(valuation)

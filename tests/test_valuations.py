@@ -558,6 +558,37 @@ class TestScanExpansions:
             assert submodular_by_definition(big) == expected
             assert row_scan_submodular(big) == expected
 
+    @pytest.mark.parametrize("m", [10, 14])
+    def test_a_row_takes_its_first_group_before_its_low_bits(self, m):
+        # S = {1, r + 1}, row 1 of group 1, violates with T1 = {r, r + 1},
+        # in group 1 at the high low bit b = 2**(r - 1), and with
+        # T2 = {r + 1, r + 2}, in group 3 at b = 0.  T1 < T2, so the row's
+        # flags must be read in (group, b) order; in (b, group) order T2
+        # would come first.
+        r = ROW_BITS[m]
+        v = _planted(m, [(1, r), (1, r + 2)], (r + 1,))
+        s, t1, t2 = (ItemSet([1, r + 1]), ItemSet([r, r + 1]),
+                     ItemSet([r + 1, r + 2]))
+        assert (s.mask >> r, s.mask % (1 << r)) == (1, 1)
+        assert (t1.mask >> r, t1.mask % (1 << r)) == (1, 1 << (r - 1))
+        assert (t2.mask >> r, t2.mask % (1 << r)) == (3, 0)
+        expected = row_scan_submodular(v)
+        assert expected.counterexample == (s, t1)
+        assert submodular_by_definition(v) == expected
+
+    def test_plants_on_uint64_at_m14(self):
+        # Every value times 2**40: the later groups run on uint64.
+        m = 14
+        for pairs, base in self._plants(m).values():
+            v = _planted(m, pairs, base)
+            kept = value_table(v)
+            big = Explicit.from_scaled(m, [n << 40 for n in kept.nums.tolist()],
+                                       kept.denom)
+            assert np.min_scalar_type(2 * value_table(big).max_abs) == np.uint64
+            expected = row_scan_submodular(v)
+            assert not expected.holds
+            assert submodular_by_definition(big) == expected
+
 
 class TestScanMemory:
     """The expansions hold 2**(m + r + 1) entries of the scan's dtype.  A
