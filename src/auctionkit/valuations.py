@@ -83,6 +83,12 @@ _SCAN_ELEMENTS = 1 << 15
 _MIN_CHUNK = 1 << 12
 
 
+def _row_bits(m: int) -> int:
+    """submodular_by_definition's r for m items: R = 2**r rows per group
+    (see _SCAN_ELEMENTS)."""
+    return min(m, (_SCAN_ELEMENTS.bit_length() - 1) // 2, max(4, 18 - m))
+
+
 def _fractions(values) -> tuple[Fraction, ...]:
     """Values as exact Fractions; a Fraction already is one and is kept."""
     return tuple([v if type(v) is Fraction else Fraction(v) for v in values])
@@ -636,7 +642,7 @@ def submodular_by_definition(valuation: Valuation) -> SubmodularReport:
     m = valuation.num_items
     _guard_items(m, "check_submodular")
     table = value_table(valuation)
-    r = min(m, (_SCAN_ELEMENTS.bit_length() - 1) // 2, max(4, 18 - m))
+    r = _row_bits(m)
     size = 1 << r
     vals = table.nums.astype(np.min_scalar_type(2 * table.max_abs))
     vals = vals.reshape(-1, size)

@@ -543,16 +543,21 @@ class TestScanExpansions:
         for pairs, base in self._plants(m).values():
             TestScanGroups._check(m, pairs, base)
 
-    @pytest.mark.parametrize("m", [10, 11])
-    def test_plants_on_object_dtype(self, m):
+    @pytest.mark.parametrize("m, bits, dtype", [
+        pytest.param(10, 64, object, id="10"),
+        pytest.param(11, 64, object, id="11"),
+        pytest.param(14, 40, np.uint64, id="14-uint64"),
+    ])
+    def test_plants_on_object_dtype(self, m, bits, dtype):
         # Every value times 2**64: the scan, and so the expansions, run on
-        # Python ints, and every verdict and pair stays the same.
+        # Python ints, and every verdict and pair stays the same.  Times
+        # 2**40 at m=14, the later groups run on uint64.
         for pairs, base in self._plants(m).values():
             v = _planted(m, pairs, base)
             kept = value_table(v)
-            big = Explicit.from_scaled(m, [n << 64 for n in kept.nums.tolist()],
+            big = Explicit.from_scaled(m, [n << bits for n in kept.nums.tolist()],
                                        kept.denom)
-            assert value_table(big).nums.dtype == object
+            assert np.min_scalar_type(2 * value_table(big).max_abs) == dtype
             expected = row_scan_submodular(v)
             assert not expected.holds
             assert submodular_by_definition(big) == expected
@@ -575,19 +580,6 @@ class TestScanExpansions:
         expected = row_scan_submodular(v)
         assert expected.counterexample == (s, t1)
         assert submodular_by_definition(v) == expected
-
-    def test_plants_on_uint64_at_m14(self):
-        # Every value times 2**40: the later groups run on uint64.
-        m = 14
-        for pairs, base in self._plants(m).values():
-            v = _planted(m, pairs, base)
-            kept = value_table(v)
-            big = Explicit.from_scaled(m, [n << 40 for n in kept.nums.tolist()],
-                                       kept.denom)
-            assert np.min_scalar_type(2 * value_table(big).max_abs) == np.uint64
-            expected = row_scan_submodular(v)
-            assert not expected.holds
-            assert submodular_by_definition(big) == expected
 
 
 class TestScanMemory:

@@ -1,6 +1,6 @@
 """Time the pairwise submodularity scan at the sizes README quotes.
 
-    python3 tools/scan_sizes.py [--repeat N] [--skip-m20]
+    python3 tools/scan_sizes.py [--repeat N]
 
 Prints one line per figure of the `check_submodular` row of README's
 "Size limits" table, each the best of N runs (default 5) of
@@ -21,8 +21,7 @@ Prints one line per figure of the `check_submodular` row of README's
 
 The package is imported from the `src/` beside this file, so a copy of the
 script in another checkout times that checkout.  The m=20 figures take
-about a minute and 400 MiB; --skip-m20 leaves them out.  Standard library
-and numpy only.
+about a minute and 400 MiB.  Standard library and numpy only.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from auctionkit.valuations import (BudgetAdditive, Explicit,  # noqa: E402
-                                   submodular_by_definition,
+                                   _row_bits, submodular_by_definition,
                                    submodular_by_marginals, value_table)
 
 
@@ -81,11 +80,6 @@ def group_one_exit(m: int, r: int) -> Explicit:
     return Explicit.from_scaled(m, table.tolist(), 1)
 
 
-def row_bits(m: int) -> int:
-    """The scan's r at its default constants: min(m, 7, max(4, 18 - m))."""
-    return min(m, 7, max(4, 18 - m))
-
-
 def best(function, repeat: int) -> float:
     """The fastest of `repeat` calls, in seconds."""
     times = []
@@ -122,8 +116,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=5,
                         help="runs per figure; the best is shown")
-    parser.add_argument("--skip-m20", action="store_true",
-                        help="leave out the m=20 memory and marginals figures")
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
@@ -139,11 +131,9 @@ def main(argv=None) -> int:
          scan_time(shifted(budget_additive(14), 40), repeat))
     show("last pair m=14", scan_time(last_pair(14), repeat))
     for m in (12, 14, 16):
-        show(f"group 1 row 0 m={m}", scan_time(group_one_exit(m, row_bits(m)),
-                                               repeat))
-    if args.skip_m20:
-        return 0
-    exit20 = group_one_exit(20, row_bits(20))
+        exit_m = group_one_exit(m, _row_bits(m))
+        show(f"group 1 row 0 m={m}", scan_time(exit_m, repeat))
+    exit20 = group_one_exit(20, _row_bits(20))
     for label, v in (("uint16", exit20), ("uint64", shifted(exit20, 40)),
                      ("Python ints", shifted(exit20, 64))):
         value_table(v)
