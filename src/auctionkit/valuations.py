@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property
-from itertools import chain
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -33,7 +32,7 @@ LIMITS = {
     # The pairwise scan's own peak at m=20 (tracemalloc, table built
     # beforehand), nearly all of it the two expansions, 32 times the
     # scan's copy of the table: 67 MiB on uint16, 265 MiB on uint64 and
-    # 268 MiB on Python ints.  See _SCAN_ELEMENTS.
+    # 268 MiB on Python ints.  See _ROW_BITS.
     "check_submodular": 20,
     "brute-force demand": 20,
     "demand-set enumeration": 16,
@@ -47,46 +46,19 @@ LIMITS = {
 # arbitrary-precision object arrays.
 _INT64_GUARD = 1 << 60
 
+# The scan's rows per group are R = 2**r with r = min(m, _ROW_BITS) (see
+# submodular_by_definition).  Its two expansions hold 2**(m + r + 1)
+# entries, 1 MiB of uint16 at m = 14.
+_ROW_BITS = 4
+
 # The most subset pairs submodular_by_definition compares in one numpy
-# call.  Its square root, rounded down to a power of two, caps the scan's
-# R = 2**r rows per group: r <= 7 here, and a test that lowers this
-# constant shrinks R with it.  Below that cap r also keeps the scan's two
-# expansions, 2**(m + r + 1) entries, at 2**19 entries (1 MiB of uint16)
-# up to m = 14: r = min(m, 7, max(4, 18 - m)), so r = m up to m = 7, 7 up
-# to m = 11, 6 at m = 12, 5 at m = 13 and 4 from m = 14 on.  With the
-# expansions stored a-major, a larger r no longer buys speed past m = 13:
-# one uint16 budget-additive table scanned in, at r = 4, 5, 6, 7: m=12 8.2,
-# 9.5, 8.2, 9.2 ms; m=13 41, 32, 30, 33 ms; m=14 0.10, 0.12, 0.11, 0.12 s;
-# m=15 0.40, 0.47, 0.41, 0.52 s; m=16 1.6, 2.1, 1.8, 2.0 s.  So the
-# smallest r costs little.  (With the earlier group-major expansions,
-# r = 5 from m = 14 on ran mp_corpus about 22% faster than r = 4, which
-# the benchmark harness's records for its extra passes made too costly in
-# peak RSS; see ROADMAP items 1 and 12.)
-# The call width, measured with the group-major expansions on the 19
-# submodular corpus bidders at m=12..14, best of 3 interleaved rounds, in
-# all: on their uint16 tables 1.54 s at 2**14,
-# 1.19 s at 2**15, 1.07 s at 2**16 and 0.96 s at 2**17; times 4 (uint32)
-# 1.93, 1.69, 1.50 and 1.48 s; times 2**40 (uint64) 2.55, 2.44, 2.36 and
-# 2.79 s.  2**15 holds a quarter of 2**17's scratch arrays and keeps r <= 7
-# at m <= 10 (2**17 would give r = 8 there).  All timings on a 2-CPU Xeon,
-# numpy 2.4.
+# call, though a call always covers at least one whole group.  Wider calls
+# mean fewer calls: the 19 submodular corpus bidders at m=12..14 scan in
+# 1.14 s at 2**14, 0.85 s at 2**15 and 0.52 s at 2**17 (uint16, best of 3,
+# 2-CPU Xeon, numpy 2.4).  It stays at 2**15 because a faster mp_corpus
+# runs more benchmark passes, whose per-pass records push the harness's
+# peak RSS past its bound (ROADMAP item 1).
 _SCAN_ELEMENTS = 1 << 15
-
-# The floor of the scan's call width: a call compares up to
-# max(_SCAN_ELEMENTS, _MIN_CHUNK) pairs, so this binds only when
-# _SCAN_ELEMENTS is set below it.  Narrower calls cost mostly numpy's own
-# overhead: with _SCAN_ELEMENTS = 16 (R = 4), the scan of an m=11
-# multi-peak table took 271 ns a pair in calls of 16 pairs, 10 ns in calls
-# of 2**10, 4.7 ns in calls of 2**12 and 4.3 ns in calls of 2**15 (2-CPU
-# Xeon, numpy 2.4).  _expand builds rows of at least this many entries one
-# call each, and shorter ones in bands.
-_MIN_CHUNK = 1 << 12
-
-
-def _row_bits(m: int) -> int:
-    """submodular_by_definition's r for m items: R = 2**r rows per group
-    (see _SCAN_ELEMENTS)."""
-    return min(m, (_SCAN_ELEMENTS.bit_length() - 1) // 2, max(4, 18 - m))
 
 
 def _fractions(values) -> tuple[Fraction, ...]:
@@ -553,40 +525,6 @@ def check_monotone(valuation: Valuation) -> MonotoneReport:
                           counterexample=(ItemSet.from_mask(best[0]), best[1]))
 
 
-@cache
-def _low_bit_tables(r: int) -> tuple[np.ndarray, np.ndarray]:
-    """The tables of a | b and of a & b at [a, b], for all r-bit masks a
-    and b; built once per r.  Only submodular_by_definition reads them:
-    group 0 reads its rows of a | b, a block at a time, and every later
-    group reads the expansions that _expand builds from both once per
-    scan.  The tables stay writeable because numpy's take copies a
-    read-only index array on every call, and every call in group 0
-    indexes with a | b."""
-    low = np.arange(1 << r)
-    return low[:, None] | low, low[:, None] & low
-
-
-def _expand(vals: np.ndarray, index: np.ndarray, out: np.ndarray,
-            buffer: np.ndarray) -> None:
-    """out[a, u, b] = vals[u, index[a, b]], each row a of 2**m entries.  A
-    row of at least _MIN_CHUNK entries is one take, straight into out[a].
-    Shorter rows would cost mostly numpy's overhead per call, so they go
-    in bands of as many rows as the flat buffer holds, at least two: a take
-    along vals' axis 1 yields [u, a, b], and the band is copied into out
-    transposed."""
-    groups, size = vals.shape
-    if vals.size >= _MIN_CHUNK:
-        for a in range(size):
-            vals.take(index[a], axis=1, out=out[a], mode="clip")
-        return
-    band = len(buffer) // vals.size
-    for a in range(0, size, band):
-        rows = index[a:a + band]
-        block = buffer[:rows.size * groups].reshape(groups, len(rows), size)
-        vals.take(rows, axis=1, out=block, mode="clip")
-        out[a:a + band] = block.transpose(1, 0, 2)
-
-
 def submodular_by_definition(valuation: Valuation) -> SubmodularReport:
     """Scan all subset pairs for v(S|T) + v(S&T) <= v(S) + v(T).
 
@@ -595,40 +533,28 @@ def submodular_by_definition(valuation: Valuation) -> SubmodularReport:
     S needs a T before it.
 
     Each mask splits into a group g, its high bits, and r low bits a, with
-    R = 2**r rows per group (see _SCAN_ELEMENTS for r); the table is read
-    as V[g, a].  For S = (g, a) and T = (h, b), S | T = (g | h, a | b) and
-    S & T = (g & h, a & b).  So one numpy call compares a block of rows a
-    of group g with every b of whole groups h >= g, as
-    V[g | h][a | b] + V[g & h][a & b] > V[g, a] + V[h, b].  A call compares
-    at most max(_SCAN_ELEMENTS, _MIN_CHUNK) pairs, and the calls of a
-    block go in ascending h.
-
-    Row 0 of group 0 is S = {}, where S | T = T and S & T = {}, so it
-    never violates and is not scanned.  Group 0 goes in the aligned row
-    blocks [1, 2), [2, 4) ... [R/2, R).  There g | h = h and g & h = 0, so
-    a call gathers V[h][a | b] through the R x R table of low-bit a | b
-    from _low_bit_tables, and V[0][a & b] is one block for every h.
-    Every later group is one block, read through the expansions
+    R = 2**r rows per group, r = min(m, _ROW_BITS); the table is read as
+    V[g, a].  For S = (g, a) and T = (h, b), S | T = (g | h, a | b) and
+    S & T = (g & h, a & b).  The scan first builds the expansions
     E_or[a, u, b] = V[u, a | b] and E_and[a, u, b] = V[u, a & b], stored
-    a-major: its calls copy E_or[lo:hi, g | h] and E_and[lo:hi, g & h],
-    whole R-entry rows, in the layout (rows, groups, R) instead of
-    gathering each pair.  The right side V[g, a] + V[h, b] is then one
-    add of a value per row a to the step * R contiguous values of the
-    call's groups h.  The scan builds both expansions, 2**(m + r + 1)
-    entries in all, when group 1 starts (see _expand), so a scan that
-    stops in group 0 builds neither.
+    a-major, 2**(m + r + 1) entries in all.  Each group g is then one
+    block: one numpy call compares its R rows with every b of whole groups
+    h >= g, as E_or[a, g | h, b] + E_and[a, g & h, b] > V[g, a] + V[h, b].
+    It copies whole R-entry rows of both expansions into the layout
+    (rows, groups, R), so the right side is one add of a value per row a
+    to the contiguous values of the call's groups h.  A call compares at
+    most _SCAN_ELEMENTS pairs, or one group if that is more, and the calls
+    of a block go in ascending h.
 
     The first block that shows a violation is scanned again one row at a
-    time (unless it is one row), in ascending a, each row in ascending T
-    from the call where the block showed it; no earlier call of the block
-    holds a violation in any of its rows.  A row of a later group reads
-    E_or[a, g | h] and E_and[a, g & h], one R-entry row each per group h.
-    A row's flags flatten in (h, b) order, so the first one is its first
-    T.  The first violation a row shows is the answer.  Every row before
-    it has no violation at any T in its own group or after.  A row also
-    compares the pairs (S, T) with T < S in its own group, and there T is
-    one of those earlier rows, so (T, S) holds and by symmetry (S, T)
-    does.  So the row's first violation is at some T >= S.
+    time, in ascending a, each row in ascending T from the call where the
+    block showed it; no earlier call of the block holds a violation in any
+    of its rows.  A row's flags flatten in (h, b) order, so the first one
+    is its first T.  The first violation a row shows is the answer.  Every
+    row before it has no violation at any T in its own group or after.  A
+    row also compares the pairs (S, T) with T < S in its own group, and
+    there T is one of those earlier rows, so (T, S) holds and by symmetry
+    (S, T) does.  So the row's first violation is at some T >= S.
 
     Every number the scan compares is a sum of two table entries, at most
     2 * max_abs, and no value table has a negative entry: Explicit and the
@@ -642,73 +568,57 @@ def submodular_by_definition(valuation: Valuation) -> SubmodularReport:
     m = valuation.num_items
     _guard_items(m, "check_submodular")
     table = value_table(valuation)
-    r = _row_bits(m)
-    size = 1 << r
+    size = 1 << min(m, _ROW_BITS)
     vals = table.nums.astype(np.min_scalar_type(2 * table.max_abs))
     vals = vals.reshape(-1, size)
     groups = np.arange(len(vals))
-    ors, ands = _low_bit_tables(r)
-    width = max(_SCAN_ELEMENTS, _MIN_CHUNK)
+    low = np.arange(size)
+    # E_or and E_and of the docstring, as expansions[0] and expansions[1].
+    # Every index is in range, so "clip" moves none; unlike the default
+    # "raise", it writes into `out` without a buffer.
+    expansions = np.empty((2, size, len(vals), size), vals.dtype)
+    for out, index in zip(expansions, (low[:, None] | low, low[:, None] & low)):
+        for a in range(size):
+            vals.take(index[a], axis=1, out=out[a], mode="clip")
     # Every call writes into these, so the scan allocates no array per
     # call.  No call compares more than R * 2**m pairs.
-    most = min(width, size << m)
+    most = min(max(_SCAN_ELEMENTS, size * size), size << m)
     sums = np.empty((2, most), vals.dtype)
     flags = np.empty(most, bool)
-    # E_or and E_and of the docstring, as expansions[0] and expansions[1].
-    expansions = None
 
     def first_violation(g, lo, hi, start):
         """(h, viol) of the first call from group `start` on that finds a
         violation in rows lo..hi-1 of group g; None if no call does.
-        viol[h' - h, a - lo, b] in group 0 and viol[a - lo, h' - h, b] in
-        later groups flags the pair (g, a), (h', b), so one row's viol
-        flattens in (h', b) order either way."""
+        viol[a - lo, h' - h, b] flags the pair (g, a), (h', b), so one
+        row's viol flattens in (h', b) order."""
         rows = hi - lo
-        step = max(1, width // (rows * size))
-        if g == 0:
-            zero_ands = vals[0].take(ands[lo:hi])
-        else:
-            or_rows, and_rows = expansions[:, lo:hi]
+        step = max(1, _SCAN_ELEMENTS // (rows * size))
+        or_rows, and_rows = expansions[:, lo:hi]
         for h in range(start, len(groups), step):
             hs = groups[h:h + step]
-            shape = (rows, len(hs), size) if g else (len(hs), rows, size)
-            count = len(hs) * rows * size
+            shape = (rows, len(hs), size)
+            count = rows * len(hs) * size
             lhs = sums[0, :count].reshape(shape)
             rhs = sums[1, :count].reshape(shape)
             viol = flags[:count].reshape(shape)
-            # Every index is in range, so "clip" moves none; unlike the
-            # default "raise", it writes into `out` without a buffer.
-            if g == 0:
-                vals[h:h + step].take(ors[lo:hi], axis=1, out=lhs, mode="clip")
-                np.add(lhs, zero_ands, out=lhs)
-                np.add(vals[0, lo:hi, None], vals[h:h + step, None], out=rhs)
-            else:
-                or_rows.take(g | hs, axis=1, out=lhs, mode="clip")
-                and_rows.take(g & hs, axis=1, out=rhs, mode="clip")
-                np.add(lhs, rhs, out=lhs)
-                # One value of S against step * R contiguous values of T.
-                np.add(vals[g, lo:hi, None, None], vals[h:h + step], out=rhs)
+            or_rows.take(g | hs, axis=1, out=lhs, mode="clip")
+            and_rows.take(g & hs, axis=1, out=rhs, mode="clip")
+            np.add(lhs, rhs, out=lhs)
+            # One value of S against step * R contiguous values of T.
+            np.add(vals[g, lo:hi, None, None], vals[h:h + step], out=rhs)
             if np.greater(lhs, rhs, out=viol).any():
                 return h, viol
         return None
 
-    bounds = [1 << i for i in range(r + 1)]
-    blocks = chain(((0, lo, hi) for lo, hi in zip(bounds, bounds[1:])),
-                   ((g, 0, size) for g in range(1, len(groups))))
-    for g, lo, hi in blocks:
-        if g == 1:
-            expansions = np.empty((2, size, len(vals), size), vals.dtype)
-            _expand(vals, ors, expansions[0], sums.reshape(-1))
-            _expand(vals, ands, expansions[1], sums.reshape(-1))
-        found = first_violation(g, lo, hi, g)
+    for g in range(len(groups)):
+        found = first_violation(g, 0, size, g)
         if found is None:
             continue
-        start, a = found[0], lo
-        if hi - lo > 1:
-            for a in range(lo, hi):
-                found = first_violation(g, a, a + 1, start)
-                if found is not None:
-                    break
+        start = found[0]
+        for a in range(size):
+            found = first_violation(g, a, a + 1, start)
+            if found is not None:
+                break
         h, viol = found
         t_mask = h * size + int(np.argmax(viol.reshape(-1)))
         return SubmodularReport(

@@ -99,13 +99,12 @@ def row_scan_submodular(valuation):
     """The pairwise definition one row S at a time, one numpy call per row,
     on the table's own dtype with flat mask arithmetic.  It is the
     reference of submodular_by_definition's scan, which must return this
-    function's report on every table.  That scan compares blocks of rows
-    of one low-bit group with whole groups, on the narrowest unsigned
-    dtype: group 0 gathered from the table itself, every later group by
+    function's report on every table.  That scan compares all rows of one
+    low-bit group with whole groups, on the narrowest unsigned dtype, by
     whole rows of expansions of the table through low-bit | and &, stored
-    a-major (low bits of S, group of T, low bits of T) and built once per
-    scan, when group 1 starts.  Here one row's flags run in ascending T,
-    as that scan's do in (group, low bits) order."""
+    a-major (low bits of S, group of T, low bits of T) and built first.
+    Here one row's flags run in ascending T, as that scan's do in (group,
+    low bits) order."""
     m = valuation.num_items
     _guard_items(m, "check_submodular")
     table = value_table(valuation)

@@ -13,8 +13,8 @@ Prints one line per figure of the `check_submodular` row of README's
 - the worst non-submodular case, v(S) = sum over k <= |S| of (m - k)**2
   with v(M - {1, 2}) raised by 2, whose only violating pair is the last
   the scan compares;
-- a violation at row 0 of group 1, which builds both expansions and then
-  stops, at m = 12, 14 and 16;
+- a violation at row 0 of group 1, where the scan stops after building
+  both expansions and scanning group 0, at m = 12, 14 and 16;
 - at m=20, that group-1 exit on uint16, uint64 and Python ints (object
   dtype), with the scan's own peak memory traced by tracemalloc, and the
   decreasing-marginals route on the budget-additive table.
@@ -39,7 +39,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from auctionkit.valuations import (BudgetAdditive, Explicit,  # noqa: E402
-                                   _row_bits, submodular_by_definition,
+                                   _ROW_BITS, submodular_by_definition,
                                    submodular_by_marginals, value_table)
 
 
@@ -69,10 +69,11 @@ def last_pair(m: int) -> Explicit:
     return Explicit.from_scaled(m, table, 1)
 
 
-def group_one_exit(m: int, r: int) -> Explicit:
+def group_one_exit(m: int) -> Explicit:
     """v(T) = 3m |T| - 3 per pair of items in T, except +1 for the pair of
-    items r + 1, r + 2: the first violating pair is ({r + 1}, {r + 2}),
-    row 0 of group 1 for a scan of 2**r rows per group."""
+    items r + 1, r + 2, where r = min(m, _ROW_BITS): the first violating
+    pair is ({r + 1}, {r + 2}), row 0 of group 1 of the scan."""
+    r = min(m, _ROW_BITS)
     masks = np.arange(1 << m)
     sizes = np.bitwise_count(masks).astype(np.int64)
     both = (masks >> r & 3) == 3
@@ -96,9 +97,8 @@ def scan_time(v, repeat: int) -> float:
 
 
 def traced_peak(v) -> float:
-    """The scan's own peak memory, in MiB: a first scan caches the low-bit
-    tables, the second is traced."""
-    submodular_by_definition(v)
+    """The scan's own peak memory, in MiB, with v's table built
+    beforehand."""
     tracemalloc.start()
     try:
         submodular_by_definition(v)
@@ -131,9 +131,8 @@ def main(argv=None) -> int:
          scan_time(shifted(budget_additive(14), 40), repeat))
     show("last pair m=14", scan_time(last_pair(14), repeat))
     for m in (12, 14, 16):
-        exit_m = group_one_exit(m, _row_bits(m))
-        show(f"group 1 row 0 m={m}", scan_time(exit_m, repeat))
-    exit20 = group_one_exit(20, _row_bits(20))
+        show(f"group 1 row 0 m={m}", scan_time(group_one_exit(m), repeat))
+    exit20 = group_one_exit(20)
     for label, v in (("uint16", exit20), ("uint64", shifted(exit20, 40)),
                      ("Python ints", shifted(exit20, 64))):
         value_table(v)
