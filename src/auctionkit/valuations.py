@@ -581,7 +581,8 @@ def submodular_by_definition(valuation: Valuation) -> SubmodularReport:
         for a in range(size):
             vals.take(index[a], axis=1, out=out[a], mode="clip")
     # Every call writes into these, so the scan allocates no array per
-    # call.  No call compares more than R * 2**m pairs.
+    # call.  A call compares at most _SCAN_ELEMENTS pairs or one group,
+    # R * R, and never more than R * 2**m.
     most = min(max(_SCAN_ELEMENTS, size * size), size << m)
     sums = np.empty((2, most), vals.dtype)
     flags = np.empty(most, bool)
@@ -597,7 +598,7 @@ def submodular_by_definition(valuation: Valuation) -> SubmodularReport:
         for h in range(start, len(groups), step):
             hs = groups[h:h + step]
             shape = (rows, len(hs), size)
-            count = rows * len(hs) * size
+            count = len(hs) * rows * size
             lhs = sums[0, :count].reshape(shape)
             rhs = sums[1, :count].reshape(shape)
             viol = flags[:count].reshape(shape)

@@ -25,6 +25,13 @@ def test_group_one_exit_stops_at_row_0_of_group_1():
     assert row_scan_submodular(v) == report
 
 
+def test_pair_exit_at_item_1_stops_at_row_1_of_group_0():
+    v = scan_sizes.pair_exit(8, 1)
+    report = submodular_by_definition(v)
+    assert report.counterexample == (ItemSet([1]), ItemSet([2]))
+    assert row_scan_submodular(v) == report
+
+
 def test_last_pair_is_the_last_pair_scanned():
     m = 8
     full = ItemSet(range(1, m + 1))

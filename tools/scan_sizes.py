@@ -13,6 +13,9 @@ Prints one line per figure of the `check_submodular` row of README's
 - the worst non-submodular case, v(S) = sum over k <= |S| of (m - k)**2
   with v(M - {1, 2}) raised by 2, whose only violating pair is the last
   the scan compares;
+- a violation at S = {1}, row 1 of group 0, where the scan stops after
+  building both expansions and three calls, at m = 8, 10, 12 and 14, each
+  figure per scan over 100 scans;
 - a violation at row 0 of group 1, where the scan stops after building
   both expansions and scanning group 0, at m = 12, 14 and 16;
 - at m=20, that group-1 exit on uint16, uint64 and Python ints (object
@@ -69,16 +72,20 @@ def last_pair(m: int) -> Explicit:
     return Explicit.from_scaled(m, table, 1)
 
 
-def group_one_exit(m: int) -> Explicit:
+def pair_exit(m: int, x: int) -> Explicit:
     """v(T) = 3m |T| - 3 per pair of items in T, except +1 for the pair of
-    items r + 1, r + 2, where r = min(m, _ROW_BITS): the first violating
-    pair is ({r + 1}, {r + 2}), row 0 of group 1 of the scan."""
-    r = min(m, _ROW_BITS)
+    items x, x + 1: the first violating pair is ({x}, {x + 1})."""
     masks = np.arange(1 << m)
     sizes = np.bitwise_count(masks).astype(np.int64)
-    both = (masks >> r & 3) == 3
+    both = (masks >> (x - 1) & 3) == 3
     table = 3 * m * sizes - 3 * (sizes * (sizes - 1) // 2) + 4 * both
     return Explicit.from_scaled(m, table.tolist(), 1)
+
+
+def group_one_exit(m: int) -> Explicit:
+    """The first violating pair is ({r + 1}, {r + 2}), where
+    r = min(m, _ROW_BITS): row 0 of group 1 of the scan."""
+    return pair_exit(m, min(m, _ROW_BITS) + 1)
 
 
 def best(function, repeat: int) -> float:
@@ -130,6 +137,12 @@ def main(argv=None) -> int:
     show("budget-additive m=14 times 2**40, uint64",
          scan_time(shifted(budget_additive(14), 40), repeat))
     show("last pair m=14", scan_time(last_pair(14), repeat))
+    for m in (8, 10, 12, 14):
+        v = pair_exit(m, 1)
+        value_table(v)
+        show(f"group 0 row 1 m={m}", best(
+            lambda: [submodular_by_definition(v) for _ in range(100)],
+            repeat) / 100)
     for m in (12, 14, 16):
         show(f"group 1 row 0 m={m}", scan_time(group_one_exit(m), repeat))
     exit20 = group_one_exit(20)
